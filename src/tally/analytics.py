@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import InputError, UndefinedCorrelationError
 
@@ -188,6 +187,10 @@ def correlate(freq: FrequencyTable, acc: AccuracyTable, method: str = "pearson")
         raise InputError(f"unknown correlation method {method!r}")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise UndefinedCorrelationError(f"{method}: an input has zero variance")
+    # Imported here: scipy.stats costs most of the package's import time,
+    # and only `tally analyze` correlates.
+    import scipy.stats
+
     if method == "pearson":
         return float(scipy.stats.pearsonr(x, y).statistic)
     return float(scipy.stats.spearmanr(x, y).statistic)

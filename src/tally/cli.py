@@ -133,11 +133,9 @@ def cmd_scan(args) -> dict:
     automaton = matcher.compile(sets, mode=args.mode)
     if args.threads > 1:
         shards = shard_corpus(args.corpus, args.threads, args.format)
-        result = matcher.scan_shards(
-            shards, automaton, args.format, threads=args.threads, per_synonym=True
-        )
+        result = matcher.scan_shards(shards, automaton, args.format, threads=args.threads)
     else:
-        result = matcher.scan(open_corpus(args.corpus, args.format), automaton, per_synonym=True)
+        result = matcher.scan(open_corpus(args.corpus, args.format), automaton)
     matcher.save_hits(result.hits, args.out)
     if args.freq_out:
         names = None

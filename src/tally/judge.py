@@ -39,7 +39,7 @@ from .errors import (
     ProviderError,
     UndefinedPrecisionError,
 )
-from .lexicon import Concept, ConceptSet
+from .lexicon import CacheFile, Concept, ConceptSet
 from .matcher import MatchHit
 
 logger = logging.getLogger(__name__)
@@ -166,15 +166,13 @@ class VerdictCache:
         os.makedirs(self.cache_dir, exist_ok=True)
         self.path = os.path.join(self.cache_dir, "verdicts.jsonl")
         self._lock = threading.Lock()
-        self._table: dict[tuple[str, int, str], bool] = {}
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        obj = json.loads(line)
-                        key = (obj["judge_id"], int(obj["concept_id"]), obj["caption_sha256"])
-                        self._table[key] = bool(obj["relevant"])
+        self._file = CacheFile(self.path)
+        self._table: dict[tuple[str, int, str], bool] = self._file.load(
+            lambda obj: (
+                (obj["judge_id"], int(obj["concept_id"]), obj["caption_sha256"]),
+                bool(obj["relevant"]),
+            )
+        )
 
     def get(self, judge_id: str, concept_id: int, cap_hash: str) -> bool | None:
         with self._lock:
@@ -186,19 +184,14 @@ class VerdictCache:
             if key in self._table:
                 return
             self._table[key] = relevant
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(
-                    json.dumps(
-                        {
-                            "judge_id": judge_id,
-                            "concept_id": concept_id,
-                            "caption_sha256": cap_hash,
-                            "relevant": relevant,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            self._file.append(
+                {
+                    "judge_id": judge_id,
+                    "concept_id": concept_id,
+                    "caption_sha256": cap_hash,
+                    "relevant": relevant,
+                }
+            )
 
 
 @dataclass

@@ -187,6 +187,55 @@ class HttpSynonymProvider:
             raise ProviderError(f"synonym provider failed for {name!r}: {e}") from e
 
 
+class CacheFile:
+    """An append-only JSONL file of provider answers that survives a torn final line.
+
+    A writer killed mid-append leaves the last line without its newline.
+    `load` skips that line when it is not a valid record, and the next
+    `append` truncates it first; a valid record that only lacks its newline
+    is kept and ended before the next record is written. Any other
+    malformed line is an InputError naming path:lineno.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._repair: tuple[int, bytes] | None = None  # truncate at, then write
+
+    def load(self, parse) -> dict:
+        """Map every record through parse(obj) -> (key, value); later records win."""
+        table = {}
+        if not os.path.exists(self.path):
+            return table
+        with open(self.path, "rb") as f:
+            data = f.read()
+        offset = 0
+        for lineno, line in enumerate(data.split(b"\n"), 1):
+            end = offset + len(line)
+            if line.strip():
+                try:
+                    key, value = parse(json.loads(line))
+                except (KeyError, TypeError, ValueError) as e:
+                    if end < len(data):
+                        raise InputError(f"{self.path}:{lineno}: bad cache record: {e}") from e
+                    logger.warning("%s:%d: skipping a torn final line", self.path, lineno)
+                    self._repair = (offset, b"")
+                else:
+                    table[key] = value
+                    if end == len(data):
+                        self._repair = (end, b"\n")
+            offset = end + 1
+        return table
+
+    def append(self, record: dict) -> None:
+        with open(self.path, "ab") as f:
+            if self._repair is not None:
+                at, glue = self._repair
+                f.truncate(at)
+                f.write(glue)
+                self._repair = None
+            f.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+
+
 class SynonymCache:
     """On-disk JSONL cache of provider responses, one file per provider id.
 
@@ -199,38 +248,30 @@ class SynonymCache:
         self.cache_dir = str(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
         self._lock = threading.Lock()
-        self._loaded: dict[str, dict[str, list[str]]] = {}
+        self._loaded: dict[str, tuple[CacheFile, dict[str, list[str]]]] = {}
 
     def _path(self, provider_id: str) -> str:
         safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in provider_id)
         return os.path.join(self.cache_dir, f"synonyms_{safe}.jsonl")
 
-    def _table(self, provider_id: str) -> dict[str, list[str]]:
+    def _table(self, provider_id: str) -> tuple[CacheFile, dict[str, list[str]]]:
         if provider_id not in self._loaded:
-            table = {}
-            path = self._path(provider_id)
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as f:
-                    for line in f:
-                        line = line.strip()
-                        if line:
-                            obj = json.loads(line)
-                            table[obj["name"]] = list(obj["synonyms"])
-            self._loaded[provider_id] = table
+            file = CacheFile(self._path(provider_id))
+            table = file.load(lambda obj: (obj["name"], list(obj["synonyms"])))
+            self._loaded[provider_id] = (file, table)
         return self._loaded[provider_id]
 
     def get(self, provider_id: str, name: str) -> list[str] | None:
         with self._lock:
-            return self._table(provider_id).get(name)
+            return self._table(provider_id)[1].get(name)
 
     def put(self, provider_id: str, name: str, synonyms: list[str]) -> None:
         with self._lock:
-            table = self._table(provider_id)
+            file, table = self._table(provider_id)
             if name in table:
                 return
             table[name] = list(synonyms)
-            with open(self._path(provider_id), "a", encoding="utf-8") as f:
-                f.write(json.dumps({"name": name, "synonyms": synonyms}, sort_keys=True) + "\n")
+            file.append({"name": name, "synonyms": synonyms})
 
 
 def expand_synonyms(

@@ -1,20 +1,25 @@
 """Multi-pattern string matching over normalized captions.
 
-Finds every occurrence of every synonym in one pass per caption. Patterns
-are grouped by length and each length class becomes one compiled regex
-alternation wrapped in a capturing lookahead `(?=(a|b|...))`, which makes
-the scan emit *overlapping* occurrences: at a fixed start position at most
-one pattern of a given length can match, so per-length alternations
-enumerate every (position, pattern) occurrence exactly. A single combined
-`search` prefilter skips captions that contain no candidate at all, which
-is the common case on web-scale corpora.
+Finds every occurrence of every synonym in one pass per caption.
 
 Two modes:
   whole_word — an occurrence must be delimited by string boundaries or
     spaces on both sides ("tigers" does not contain "tiger"); multi-word
-    patterns match contiguous token runs.
+    patterns match contiguous token runs. Normalized captions separate
+    words by single spaces and synonyms are normalized, so this is a token
+    index: each pattern is filed under its first token, and a caption is
+    split on " " once, each token looked up, and the tokens after a hit
+    compared with the rest of the pattern. (It is the whole-word case of an
+    Aho-Corasick automaton, where the automaton reduces to a dict.)
   partial — plain substring matching, no boundary requirement (useful for
     vocabularies like car model names where captions abbreviate freely).
+    Patterns are grouped by length and each length class becomes one
+    compiled regex alternation wrapped in a capturing lookahead
+    `(?=(a|b|...))`, which makes the scan emit *overlapping* occurrences:
+    at a fixed start position at most one pattern of a given length can
+    match, so per-length alternations enumerate every (position, pattern)
+    occurrence exactly. A single combined `search` prefilter skips captions
+    that contain no candidate at all.
 
 Counting is per caption: a caption contributes at most 1 to a concept's
 raw count no matter how many times, or via how many synonyms, it mentions
@@ -30,16 +35,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .analytics import FrequencyTable
-from .corpus import CorpusShard, iter_shard, normalize_text
+from .corpus import CorpusShard, iter_shard
 from .errors import EmptyPatternSetError, InputError
 from .lexicon import SynonymSet
 
 MODES = ("whole_word", "partial")
-
-# Normalized text delimits words by single spaces only, so word boundaries
-# are "not preceded/followed by a non-space character".
-_LEFT_BOUNDARY = r"(?<![^ ])"
-_RIGHT_BOUNDARY = r"(?![^ ])"
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,30 @@ class PatternAutomaton:
     owners: dict[str, tuple[int, ...]]  # pattern -> owning concept_ids
     concept_ids: tuple[int, ...]  # every concept in the task, in input order
     pattern_count: int
+    # whole_word: first token -> [(pattern, its remaining tokens)]
+    _index: dict[str, list[tuple[str, list[str]]]] = field(repr=False, default_factory=dict)
+    # partial: one lookahead scanner per pattern length, and an existence prefilter
     _scanners: list[re.Pattern] = field(repr=False, default_factory=list)
     _prefilter: re.Pattern | None = field(repr=False, default=None)
 
     def find(self, norm_text: str) -> list[tuple[str, int]]:
         """All (pattern, start) occurrences in one normalized caption."""
-        if self._prefilter is None or self._prefilter.search(norm_text) is None:
-            return []
         found = []
+        if self.mode == "whole_word":
+            tokens = norm_text.split(" ")
+            # Most captions hold no pattern's first token; this set-level
+            # check skips them without a Python loop over their tokens.
+            if self._index.keys().isdisjoint(tokens):
+                return found
+            start = 0  # char offset of tokens[i]
+            for i, token in enumerate(tokens):
+                for pattern, rest in self._index.get(token, ()):
+                    if tokens[i + 1 : i + 1 + len(rest)] == rest:
+                        found.append((pattern, start))
+                start += len(token) + 1
+            return found
+        if self._prefilter.search(norm_text) is None:
+            return found
         for scanner in self._scanners:
             for m in scanner.finditer(norm_text):
                 found.append((m.group(1), m.start(1)))
@@ -96,29 +112,31 @@ def compile(sets: list[SynonymSet], mode: str = "whole_word") -> PatternAutomato
     if not owners:
         raise EmptyPatternSetError("no patterns to compile")
 
-    by_len: dict[int, list[str]] = {}
-    for pattern in owners:
-        by_len.setdefault(len(pattern), []).append(pattern)
-
+    index: dict[str, list[tuple[str, list[str]]]] = {}
     scanners = []
-    for length in sorted(by_len):
-        alternation = "|".join(re.escape(p) for p in sorted(by_len[length]))
-        if mode == "whole_word":
-            body = f"{_LEFT_BOUNDARY}(?:{alternation}){_RIGHT_BOUNDARY}"
-        else:
-            body = f"(?:{alternation})"
-        scanners.append(re.compile(f"(?=({body}))"))
-
-    # Existence prefilter: no boundaries, no overlap bookkeeping — one C-speed
-    # search that can only over-approximate, never miss.
-    all_patterns = "|".join(re.escape(p) for p in sorted(owners, key=len, reverse=True))
-    prefilter = re.compile(all_patterns)
+    prefilter = None
+    if mode == "whole_word":
+        for pattern in owners:
+            first, *rest = pattern.split(" ")
+            index.setdefault(first, []).append((pattern, rest))
+    else:
+        by_len: dict[int, list[str]] = {}
+        for pattern in owners:
+            by_len.setdefault(len(pattern), []).append(pattern)
+        for length in sorted(by_len):
+            alternation = "|".join(re.escape(p) for p in sorted(by_len[length]))
+            scanners.append(re.compile(f"(?=((?:{alternation})))"))
+        # Existence prefilter: no overlap bookkeeping — one C-speed search
+        # that can only over-approximate, never miss.
+        all_patterns = "|".join(re.escape(p) for p in sorted(owners, key=len, reverse=True))
+        prefilter = re.compile(all_patterns)
 
     return PatternAutomaton(
         mode=mode,
         owners={p: tuple(cids) for p, cids in owners.items()},
         concept_ids=tuple(s.concept_id for s in sets),
         pattern_count=pattern_count,
+        _index=index,
         _scanners=scanners,
         _prefilter=prefilter,
     )
@@ -285,13 +303,3 @@ def load_hits(path: str) -> list[MatchHit]:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise InputError(f"{path}:{lineno}: bad hit record: {e}") from e
     return hits
-
-
-def normalize_patterns(sets: list[SynonymSet]) -> None:
-    """Validate that every synonym is already in canonical normalized form."""
-    for synset in sets:
-        for s in synset.synonyms:
-            if normalize_text(s) != s:
-                raise InputError(
-                    f"concept {synset.concept_id}: synonym {s!r} is not normalized"
-                )

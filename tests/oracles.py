@@ -49,6 +49,23 @@ def brute_force_hits(records, synonym_sets, mode="whole_word"):
     return hits
 
 
+def brute_force_occurrences(text, patterns, mode="whole_word"):
+    """Every (pattern, start) occurrence of each pattern in one text, by
+    trying each start position and applying the boundary rule by hand."""
+    found = []
+    for pattern in patterns:
+        for start in range(len(text) - len(pattern) + 1):
+            if text[start : start + len(pattern)] != pattern:
+                continue
+            end = start + len(pattern)
+            if mode == "whole_word" and (
+                (start > 0 and text[start - 1] != " ") or (end < len(text) and text[end] != " ")
+            ):
+                continue
+            found.append((pattern, start))
+    return sorted(found)
+
+
 def brute_force_counts(hit_tuples, concept_ids):
     """Distinct captions per concept from brute-force hit tuples."""
     caps = {cid: set() for cid in concept_ids}

@@ -484,6 +484,22 @@ def test_judge_reruns_offline_from_cache(capsys, world, http_provider):
     ).read_bytes()
 
 
+def test_judge_reruns_after_torn_cache_line(capsys, world):
+    run_pipeline_through_freq(capsys, world)
+    cache = world["dir"] / "cache" / "verdicts.jsonl"
+    body = cache.read_bytes()
+    cache.write_bytes(body[: len(body) - 20])  # judge killed mid-append
+    run_ok(capsys, [
+        "judge", "--concepts", world["concepts"], "--corpus", world["corpus"],
+        "--hits", art(world, "hits.jsonl"), "--blocklist", world["blocklist"],
+        "--cache-dir", art(world, "cache"), "--out", art(world, "verdicts2.jsonl"),
+    ])
+    assert cache.read_bytes() == body
+    assert (world["dir"] / "verdicts.jsonl").read_bytes() == (
+        world["dir"] / "verdicts2.jsonl"
+    ).read_bytes()
+
+
 # --------------------------------------------------------------- precision
 
 

@@ -204,6 +204,59 @@ def test_cache_file_schema(tmp_path):
     assert VerdictCache(str(tmp_path / "cache")).get("stub", 3, h) is True
 
 
+def _verdict_line(concept_id, relevant):
+    return json.dumps(
+        {"caption_sha256": caption_hash("a tiger"), "concept_id": concept_id,
+         "judge_id": "stub", "relevant": relevant},
+        sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize("cut", [1, 30, -1])
+def test_cache_skips_torn_final_line(tmp_path, cut):
+    """A writer killed mid-append leaves an unterminated, unparsable last
+    line: it is skipped on load and truncated before the next append."""
+    path = tmp_path / "cache" / "verdicts.jsonl"
+    path.parent.mkdir()
+    path.write_text(_verdict_line(1, True) + "\n" + _verdict_line(2, False)[:cut])
+    h = caption_hash("a tiger")
+    cache = VerdictCache(str(tmp_path / "cache"))
+    assert cache.get("stub", 1, h) is True
+    assert cache.get("stub", 2, h) is None
+    cache.put("stub", 3, h, False)
+    assert path.read_text() == _verdict_line(1, True) + "\n" + _verdict_line(3, False) + "\n"
+    reloaded = VerdictCache(str(tmp_path / "cache"))
+    assert reloaded.get("stub", 3, h) is False
+
+
+def test_cache_keeps_unterminated_complete_final_line(tmp_path):
+    path = tmp_path / "cache" / "verdicts.jsonl"
+    path.parent.mkdir()
+    path.write_text(_verdict_line(1, True))
+    h = caption_hash("a tiger")
+    cache = VerdictCache(str(tmp_path / "cache"))
+    assert cache.get("stub", 1, h) is True
+    cache.put("stub", 2, h, False)
+    assert path.read_text() == _verdict_line(1, True) + "\n" + _verdict_line(2, False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body,lineno",
+    [
+        ("{torn\n" + _verdict_line(1, True) + "\n", 1),  # not the last line
+        (_verdict_line(1, True) + "\n{torn\n", 2),  # terminated, so fully written
+        (_verdict_line(1, True) + '\n{"judge_id": "stub"}\n', 2),  # missing fields
+    ],
+    ids=["first-line", "terminated-last-line", "missing-fields"],
+)
+def test_cache_malformed_line_is_input_error(tmp_path, body, lineno):
+    path = tmp_path / "cache" / "verdicts.jsonl"
+    path.parent.mkdir()
+    path.write_text(body)
+    with pytest.raises(InputError, match=f"verdicts.jsonl:{lineno}:"):
+        VerdictCache(str(tmp_path / "cache"))
+
+
 def test_worker_count_does_not_change_order(tiger_concepts):
     hits = [MatchHit(i, i % 2, "x") for i in range(20)]
     captions = {i: f"caption {i}" for i in range(20)}

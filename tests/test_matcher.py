@@ -1,12 +1,21 @@
 """Pattern compilation, overlapping occurrence scanning, and shard merging."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import tally
 from conftest import write_jsonl
-from oracles import brute_force_counts, brute_force_hits, brute_force_synonym_counts
+from oracles import (
+    brute_force_counts,
+    brute_force_hits,
+    brute_force_occurrences,
+    brute_force_synonym_counts,
+)
 from tally.corpus import CaptionRecord, open_corpus, shard_corpus
 from tally.errors import EmptyPatternSetError, InputError
 from tally.lexicon import SynonymSet
@@ -15,7 +24,6 @@ from tally.matcher import (
     caption_hits,
     compile,
     load_hits,
-    normalize_patterns,
     save_hits,
     scan,
     scan_shards,
@@ -176,6 +184,79 @@ def test_scan_reports_reader_skips(tmp_path, tiger_sets):
     assert result.n_skipped == 2
 
 
+# ---------------------------------------------- adversarial whole-word
+
+
+ADVERSARIAL_SETS = [
+    SynonymSet(0, ["new", "new york", "new york city"], ["manual"] * 3),
+    SynonymSet(1, ["york city", "city"], ["manual"] * 2),
+    SynonymSet(2, ["café au lait", "straße"], ["manual"] * 2),
+    SynonymSet(3, ["東京 タワー", "タワー"], ["manual"] * 2),
+    SynonymSet(4, ["cat", "big cat"], ["manual"] * 2),
+]
+
+ADVERSARIAL_CAPTIONS = [
+    "",
+    "new",
+    "cat",
+    "new york city",
+    "new new york",
+    "new york new york city new",
+    "new york new york new york",
+    "york new city",
+    "newyork new yorker anew",
+    "a café au lait straße café au laitx",
+    "夜の 東京 タワー 東京タワー 東京 タワー",
+    "cats bobcat ca scat big cats big cat",
+    "big big cat cat",
+]
+
+
+@pytest.mark.parametrize("text", ADVERSARIAL_CAPTIONS)
+def test_whole_word_find_returns_every_occurrence(text):
+    auto = compile(ADVERSARIAL_SETS)
+    assert sorted(auto.find(text)) == brute_force_occurrences(text, list(auto.owners))
+
+
+def test_whole_word_find_shared_first_token():
+    auto = compile(ADVERSARIAL_SETS)
+    assert sorted(auto.find("new new york city")) == [
+        ("city", 13), ("new", 0), ("new", 4), ("new york", 4), ("new york city", 4),
+        ("york city", 8),
+    ]
+    # char offsets, not byte offsets: "夜の " is 3 chars but 7 bytes
+    assert sorted(auto.find("夜の 東京 タワー")) == [("タワー", 6), ("東京 タワー", 3)]
+
+
+def test_whole_word_scan_matches_oracle_on_adversarial_captions():
+    records = records_of(ADVERSARIAL_CAPTIONS)
+    result = scan(records, compile(ADVERSARIAL_SETS), per_synonym=True)
+    oracle = brute_force_hits(records, ADVERSARIAL_SETS)
+    assert hit_tuples(result.hits) == oracle
+    concept_ids = [s.concept_id for s in ADVERSARIAL_SETS]
+    assert result.table.counts == {
+        cid: (n, n) for cid, n in brute_force_counts(oracle, concept_ids).items()
+    }
+    assert {k: v for k, v in result.synonym_counts.items() if v} == (
+        brute_force_synonym_counts(oracle)
+    )
+
+
+def test_import_cli_does_not_load_scipy():
+    """Only `tally analyze` correlates, so only it pays for scipy's import."""
+    src_dir = os.path.dirname(os.path.dirname(tally.__file__))
+    code = "import sys, tally.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
+
+
 # -------------------------------------------------- randomized oracle
 
 
@@ -293,13 +374,11 @@ def test_load_hits_bad_record(tmp_path):
 
 
 def test_normalize_patterns_validator():
-    normalize_patterns([SynonymSet(0, ["big cat"], ["manual"])])
-    bad = SynonymSet.__new__(SynonymSet)
-    bad.concept_id = 0
-    bad.synonyms = ["Tiger"]
-    bad.provenance = ["manual"]
-    with pytest.raises(InputError, match="Tiger"):
-        normalize_patterns([bad])
+    """The token index assumes normalized patterns; SynonymSet enforces it."""
+    SynonymSet(0, ["big cat"], ["manual"])
+    for bad in ("Tiger", "big  cat", " cat", "cat "):
+        with pytest.raises(InputError, match="not normalized"):
+            SynonymSet(0, [bad], ["manual"])
 
 
 # --------------------------------------------------------------- scaling
