@@ -15,7 +15,7 @@ let a relevance judge veto mentions that refer to something else.
 from tally.corpus import CaptionRecord, normalize_text
 from tally.judge import RuleStubJudge, filtered_frequency, judge_hits
 from tally.lexicon import Concept, ConceptSet, FixtureSynonymProvider, SynonymSet, expand_synonyms
-from tally.matcher import compile, scan
+from tally.matcher import compile, count_captions, scan
 
 CAPTIONS = [
     "A tiger walking in the grass",
@@ -50,10 +50,11 @@ def main() -> None:
         CaptionRecord(i, text, normalize_text(text), 0) for i, text in enumerate(CAPTIONS)
     ]
     automaton = compile(sets, mode="whole_word")
-    result = scan(records, automaton, per_synonym=True)
+    result = scan(records, automaton)
+    _, synonym_counts = count_captions(result.hits)
 
     print(f"\nscanned {result.n_records} captions, {len(result.hits)} matches")
-    for (cid, synonym), n in sorted(result.synonym_counts.items()):
+    for (cid, synonym), n in sorted(synonym_counts.items()):
         print(f"  concept {cid}: {synonym!r} appears in {n} captions")
     print("note: 'Tigers!' was never matched — whole-word means no plural bleed")
 

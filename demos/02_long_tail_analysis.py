@@ -29,10 +29,7 @@ def main() -> None:
     acc = 1.0 / (1.0 + np.exp(-(0.8 * np.log1p(counts) - 3.5)))
     acc = np.clip(acc + rng.normal(0.0, 0.03, N_CONCEPTS), 0.0, 1.0)
 
-    freq = FrequencyTable(
-        {i: (int(counts[i]), int(counts[i])) for i in range(N_CONCEPTS)},
-        corpus_id="zipf-sim",
-    )
+    freq = FrequencyTable({i: (int(counts[i]), int(counts[i])) for i in range(N_CONCEPTS)})
     table = AccuracyTable({i: float(acc[i]) for i in range(N_CONCEPTS)}, model_id="sim")
 
     print(f"{N_CONCEPTS} concepts, counts from {counts.min()} to {counts.max()}\n")

@@ -53,13 +53,12 @@ from .lexicon import (
     filter_synonyms,
 )
 from . import matcher
-from .matcher import MatchHit, PatternAutomaton, caption_hits, scan, scan_shards
+from .matcher import MatchHit, PatternAutomaton, caption_hits, count_captions, scan, scan_shards
 from .realprompt import (
     ClassifierWeights,
     PromptTemplateSet,
     build_prompts,
     build_zeroshot,
-    classify,
     classify_batch,
     most_frequent_synonym,
 )

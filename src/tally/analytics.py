@@ -8,13 +8,13 @@ by ascending concept_id so repeated runs produce identical artifacts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, UndefinedCorrelationError
+from .io import read_csv, write_csv
 
 ZERO_BIN = -1  # dedicated bin index for zero-count concepts
 
@@ -24,7 +24,6 @@ class FrequencyTable:
     """Per-concept caption counts: raw (any hit) and filtered (judged relevant)."""
 
     counts: dict[int, tuple[int, int]]  # concept_id -> (raw, filtered)
-    corpus_id: str = ""
 
     def __post_init__(self):
         for cid, (raw, filtered) in self.counts.items():
@@ -47,26 +46,23 @@ class FrequencyTable:
 
     def to_csv(self, path: str, names: dict[int, str] | None = None) -> None:
         names = names or {}
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["concept_id", "name", "raw", "filtered"])
-            for cid in sorted(self.counts):
-                raw, filt = self.counts[cid]
-                w.writerow([cid, names.get(cid, ""), raw, filt])
+        write_csv(
+            path,
+            ["concept_id", "name", "raw", "filtered"],
+            ([cid, names.get(cid, ""), *self.counts[cid]] for cid in sorted(self.counts)),
+        )
 
     @classmethod
-    def from_csv(cls, path: str, corpus_id: str = "") -> "FrequencyTable":
-        counts = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            required = {"concept_id", "raw", "filtered"}
-            if not required.issubset(reader.fieldnames or ()):
-                raise InputError(f"{path}: expected columns {sorted(required)}")
-            for row in reader:
-                counts[int(row["concept_id"])] = (int(row["raw"]), int(row["filtered"]))
-        if not counts:
+    def from_csv(cls, path: str) -> "FrequencyTable":
+        rows = read_csv(
+            path,
+            ("concept_id", "raw", "filtered"),
+            "frequency row",
+            lambda r: (int(r["concept_id"]), (int(r["raw"]), int(r["filtered"]))),
+        )
+        if not rows:
             raise InputError(f"{path}: empty frequency table")
-        return cls(counts, corpus_id=corpus_id)
+        return cls(dict(rows))
 
 
 @dataclass
@@ -82,24 +78,23 @@ class AccuracyTable:
                 raise InputError(f"concept {cid}: accuracy {acc} outside [0, 1]")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["concept_id", "accuracy"])
-            for cid in sorted(self.accuracies):
-                w.writerow([cid, repr(self.accuracies[cid])])
+        write_csv(
+            path,
+            ["concept_id", "accuracy"],
+            ([cid, repr(self.accuracies[cid])] for cid in sorted(self.accuracies)),
+        )
 
     @classmethod
     def from_csv(cls, path: str, model_id: str = "") -> "AccuracyTable":
-        accuracies = {}
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if not {"concept_id", "accuracy"}.issubset(reader.fieldnames or ()):
-                raise InputError(f"{path}: expected columns concept_id,accuracy")
-            for row in reader:
-                accuracies[int(row["concept_id"])] = float(row["accuracy"])
-        if not accuracies:
+        rows = read_csv(
+            path,
+            ("concept_id", "accuracy"),
+            "accuracy row",
+            lambda r: (int(r["concept_id"]), float(r["accuracy"])),
+        )
+        if not rows:
             raise InputError(f"{path}: empty accuracy table")
-        return cls(accuracies, model_id=model_id)
+        return cls(dict(rows), model_id=model_id)
 
 
 def sort_by_frequency(freq: FrequencyTable) -> list[int]:

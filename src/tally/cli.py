@@ -19,7 +19,6 @@ environment variable, or ./.tally_cache, in that order of precedence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,6 +30,7 @@ from .analytics import AccuracyTable, FrequencyTable
 from .corpus import open_corpus, shard_corpus
 from .embeddings import load_embeddings
 from .errors import DivergenceError, InputError, ProviderError, TallyError
+from .io import atomic_write, read_csv, read_jsonl, write_csv
 from .realprompt import ClassifierWeights, PromptTemplateSet
 
 EXIT_OK = 0
@@ -174,14 +174,14 @@ def cmd_judge(args) -> dict:
         validation = judge_mod.ValidationSet.from_jsonl(args.validation)
         needed = {caption_id for caption_id, _, _ in validation.pairs}
         captions = _load_captions_for(needed, args.corpus, args.format)
-        definitions: dict[int, list[str]] = {}
         if args.definitions:
-            with open(args.definitions, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        obj = json.loads(line)
-                        definitions[int(obj["concept_id"])] = [str(d) for d in obj["definitions"]]
+            definitions = dict(
+                read_jsonl(
+                    args.definitions,
+                    "definitions record",
+                    lambda obj: (int(obj["concept_id"]), [str(d) for d in obj["definitions"]]),
+                )
+            )
         else:
             definitions = {c.concept_id: [c.definition] for c in concepts}
         rows = []
@@ -190,12 +190,8 @@ def cmd_judge(args) -> dict:
                 precision = judge_mod.definition_precision(
                     concepts[cid], definition, validation, judge, captions
                 )
-                rows.append((cid, definition, precision))
-        with open(args.out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["concept_id", "definition", "precision"])
-            for cid, definition, precision in rows:
-                w.writerow([cid, definition, repr(precision)])
+                rows.append([cid, definition, repr(precision)])
+        write_csv(args.out, ["concept_id", "definition", "precision"], rows)
         return {
             "command": "judge",
             "mode": "precision",
@@ -239,44 +235,32 @@ def cmd_freq(args) -> dict:
     concepts = lexicon.ConceptSet.from_jsonl(args.concepts) if args.concepts else None
     names = {c.concept_id: c.name for c in concepts} if concepts else None
 
+    table, syn_counts_raw = matcher.count_captions(hits, concepts.ids if concepts else None)
+    syn_counts_filt = syn_counts_raw
+    count_source = "raw"
+    undecided = 0
     if args.verdicts:
         outcome = judge_mod.load_verdicts(args.verdicts)
         table = judge_mod.filtered_frequency(
             hits, outcome.verdicts, concepts, undecided=outcome.undecided
         )
-        syn_counts_raw = _raw_synonym_counts(hits)
         syn_counts_filt = judge_mod.filtered_synonym_counts(
             hits, outcome.verdicts, undecided=outcome.undecided
         )
         count_source = "filtered"
         undecided = len(outcome.undecided)
-    else:
-        caps: dict[int, set[int]] = {}
-        for h in hits:
-            caps.setdefault(h.concept_id, set()).add(h.caption_id)
-        ids = concepts.ids if concepts else sorted(caps)
-        table = FrequencyTable({cid: (len(caps.get(cid, ())),) * 2 for cid in ids})
-        syn_counts_raw = _raw_synonym_counts(hits)
-        syn_counts_filt = syn_counts_raw
-        count_source = "raw"
-        undecided = 0
 
     table.to_csv(args.out, names=names)
     if args.syn_out:
-        keys = sorted(set(syn_counts_raw) | set(syn_counts_filt))
-        with open(args.syn_out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["concept_id", "synonym", "raw", "filtered", "count_source"])
-            for cid, syn in keys:
-                w.writerow(
-                    [
-                        cid,
-                        syn,
-                        syn_counts_raw.get((cid, syn), 0),
-                        syn_counts_filt.get((cid, syn), 0),
-                        count_source,
-                    ]
-                )
+        # Every judged pair is a hit, so the raw counts hold every key.
+        write_csv(
+            args.syn_out,
+            ["concept_id", "synonym", "raw", "filtered", "count_source"],
+            (
+                [*key, n, syn_counts_filt.get(key, 0), count_source]
+                for key, n in sorted(syn_counts_raw.items())
+            ),
+        )
     return {
         "command": "freq",
         "concepts": len(table.counts),
@@ -289,13 +273,6 @@ def cmd_freq(args) -> dict:
     }
 
 
-def _raw_synonym_counts(hits: list[matcher.MatchHit]) -> dict[tuple[int, str], int]:
-    caps: dict[tuple[int, str], set[int]] = {}
-    for h in hits:
-        caps.setdefault((h.concept_id, h.synonym), set()).add(h.caption_id)
-    return {key: len(ids) for key, ids in caps.items()}
-
-
 # ----------------------------------------------------------------- analyze
 
 
@@ -305,29 +282,28 @@ def cmd_analyze(args) -> dict:
     os.makedirs(args.out_dir, exist_ok=True)
 
     bins = analytics.log_bins(freq, acc, base=args.base)
-    with open(os.path.join(args.out_dir, "bins.csv"), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["bin", "mean_acc", "count"])
-        for b in bins:
-            w.writerow([b.bin, repr(b.mean_accuracy), b.count])
+    write_csv(
+        os.path.join(args.out_dir, "bins.csv"),
+        ["bin", "mean_acc", "count"],
+        ([b.bin, repr(b.mean_accuracy), b.count] for b in bins),
+    )
 
     head, tail = analytics.head_tail_split(freq, tail_fraction=args.tail)
-    with open(os.path.join(args.out_dir, "split.csv"), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["concept_id", "split"])
-        for cid in sorted(freq.counts):
-            w.writerow([cid, "tail" if cid in set(tail) else "head"])
+    tail_ids = set(tail)
+    write_csv(
+        os.path.join(args.out_dir, "split.csv"),
+        ["concept_id", "split"],
+        ([cid, "tail" if cid in tail_ids else "head"] for cid in sorted(freq.counts)),
+    )
 
     correlations = {}
     for method in ("pearson", "spearman"):
         correlations[method] = analytics.correlate(freq, acc, method)
-    with open(
-        os.path.join(args.out_dir, "correlation.csv"), "w", newline="", encoding="utf-8"
-    ) as f:
-        w = csv.writer(f)
-        w.writerow(["method", "value", "n"])
-        for method in sorted(correlations):
-            w.writerow([method, repr(correlations[method]), len(freq.counts)])
+    write_csv(
+        os.path.join(args.out_dir, "correlation.csv"),
+        ["method", "value", "n"],
+        ([method, repr(correlations[method]), len(freq.counts)] for method in sorted(correlations)),
+    )
 
     return {
         "command": "analyze",
@@ -352,7 +328,13 @@ def cmd_prompt(args) -> dict:
         templates = PromptTemplateSet.from_file(args.templates)
     prompt_embs = _require_embedding(_parse_embeddings(args.embeddings), "prompts")
 
-    names = _names_from_synonym_file(args.synonyms)
+    names = dict(
+        read_jsonl(
+            args.synonyms,
+            "synonym set",
+            lambda obj: (int(obj["concept_id"]), str(obj.get("name", obj["synonyms"][0]))),
+        )
+    )
     chosen_rows = realprompt.chosen_synonym_report(sets, syn_counts, names)
     concept_prompts = [
         (cid, realprompt.build_prompts(chosen, templates))
@@ -369,11 +351,7 @@ def cmd_prompt(args) -> dict:
     )
     weights.save(args.out)
     if args.report:
-        with open(args.report, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["concept_id", "name", "chosen", "count"])
-            for row in chosen_rows:
-                w.writerow(list(row))
+        write_csv(args.report, ["concept_id", "name", "chosen", "count"], chosen_rows)
     switched = sum(1 for cid, name, chosen, _ in chosen_rows if chosen != lexicon.normalize_text(name))
     return {
         "command": "prompt",
@@ -387,29 +365,16 @@ def cmd_prompt(args) -> dict:
 
 
 def _load_syn_counts(path: str) -> tuple[dict[tuple[int, str], int], str]:
-    counts: dict[tuple[int, str], int] = {}
-    source = "raw"
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"concept_id", "synonym", "raw", "filtered"}
-        if not required.issubset(reader.fieldnames or ()):
-            raise InputError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            source = row.get("count_source", "filtered") or "filtered"
-            column = "filtered" if source == "filtered" else "raw"
-            counts[(int(row["concept_id"]), row["synonym"])] = int(row[column])
-    return counts, source
+    """Per-synonym counts from the `freq --syn-out` table, and their source."""
 
+    def parse(row):
+        source = row.get("count_source") or "filtered"
+        column = "filtered" if source == "filtered" else "raw"
+        return source, (int(row["concept_id"]), row["synonym"]), int(row[column])
 
-def _names_from_synonym_file(path: str) -> dict[int, str]:
-    names = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                names[int(obj["concept_id"])] = str(obj.get("name", obj["synonyms"][0]))
-    return names
+    rows = read_csv(path, ("concept_id", "synonym", "raw", "filtered"), "synonym count row", parse)
+    source = rows[-1][0] if rows else "raw"
+    return {key: n for _, key, n in rows}, source
 
 
 # ---------------------------------------------------------------- retrieve
@@ -432,11 +397,11 @@ def cmd_retrieve(args) -> dict:
     result = reallinear.retrieve_balanced(hits, caption_embs, queries, k=args.k, restrict_to=restrict)
     result.to_jsonl(args.out)
     if args.shortfall_out:
-        with open(args.shortfall_out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["concept_id", "requested", "retrieved"])
-            for cid in sorted(result.ranked):
-                w.writerow([cid, args.k, len(result.ranked[cid])])
+        write_csv(
+            args.shortfall_out,
+            ["concept_id", "requested", "retrieved"],
+            ([cid, args.k, len(result.ranked[cid])] for cid in sorted(result.ranked)),
+        )
     return {
         "command": "retrieve",
         "k": args.k,
@@ -512,17 +477,12 @@ def cmd_train(args) -> dict:
 def cmd_eval(args) -> dict:
     weights = ClassifierWeights.load(args.weights)
     images = _require_embedding(_parse_embeddings(args.embeddings), "images")
-    ids = []
-    gold = []
-    with open(args.labels, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if not {"id", "concept_id"}.issubset(reader.fieldnames or ()):
-            raise InputError(f"{args.labels}: expected columns id,concept_id")
-        for row in reader:
-            ids.append(row["id"])
-            gold.append(int(row["concept_id"]))
-    if not ids:
+    labels = read_csv(
+        args.labels, ("id", "concept_id"), "label row", lambda r: (r["id"], int(r["concept_id"]))
+    )
+    if not labels:
         raise InputError(f"{args.labels}: no labeled examples")
+    ids, gold = zip(*labels)
     feats = np.stack([images.vector(i) for i in ids])
     model_id = args.model_id or weights.role
     mpca, table = reallinear.evaluate(weights, feats, gold, model_id=model_id)
@@ -540,87 +500,94 @@ def cmd_eval(args) -> dict:
 # ------------------------------------------------------------------ report
 
 
-def _read_csv_rows(path: str) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))
-
-
 def cmd_report(args) -> dict:
     run = args.run_dir
     freq_path = os.path.join(run, "freq.csv")
-    missing = [name for name in ["freq.csv"] if not os.path.exists(os.path.join(run, name))]
-    if missing:
-        raise InputError(f"run dir {run} is missing required artifacts: {missing}")
+    if not os.path.exists(freq_path):
+        raise InputError(f"run dir {run} is missing required artifacts: ['freq.csv']")
 
     lines: list[str] = ["# tally run report", ""]
     sections = []
 
-    freq_rows = _read_csv_rows(freq_path)
-    freq_rows.sort(key=lambda r: (-int(r["filtered"]), int(r["concept_id"])))
-    total_raw = sum(int(r["raw"]) for r in freq_rows)
-    total_filtered = sum(int(r["filtered"]) for r in freq_rows)
+    freq_rows = read_csv(
+        freq_path,
+        ("concept_id", "raw", "filtered"),
+        "frequency row",
+        lambda r: (int(r["concept_id"]), r.get("name", ""), int(r["raw"]), int(r["filtered"])),
+    )
+    freq_rows.sort(key=lambda r: (-r[3], r[0]))
+    freq_header = ["| rank | concept_id | name | raw | filtered |", "|---|---|---|---|---|"]
     lines += [
         "## Concept frequency",
         "",
         f"- concepts: {len(freq_rows)}",
-        f"- raw matched captions (sum over concepts): {total_raw}",
-        f"- filtered matched captions (sum over concepts): {total_filtered}",
+        f"- raw matched captions (sum over concepts): {sum(r[2] for r in freq_rows)}",
+        f"- filtered matched captions (sum over concepts): {sum(r[3] for r in freq_rows)}",
         "",
-        "| rank | concept_id | name | raw | filtered |",
-        "|---|---|---|---|---|",
+        *freq_header,
     ]
-    show = freq_rows[:10] if len(freq_rows) > 20 else freq_rows
-    for rank, r in enumerate(show, 1):
-        lines.append(
-            f"| {rank} | {r['concept_id']} | {r.get('name', '')} | {r['raw']} | {r['filtered']} |"
-        )
+
+    def ranked(first_rank, rows):
+        return [
+            f"| {rank} | {cid} | {name} | {raw} | {filtered} |"
+            for rank, (cid, name, raw, filtered) in enumerate(rows, first_rank)
+        ]
+
     if len(freq_rows) > 20:
-        lines += ["", "Least frequent:", "", "| rank | concept_id | name | raw | filtered |", "|---|---|---|---|---|"]
-        for rank, r in zip(
-            range(len(freq_rows) - 9, len(freq_rows) + 1), freq_rows[-10:]
-        ):
-            lines.append(
-                f"| {rank} | {r['concept_id']} | {r.get('name', '')} | {r['raw']} | {r['filtered']} |"
-            )
+        lines += ranked(1, freq_rows[:10])
+        lines += ["", "Least frequent:", "", *freq_header]
+        lines += ranked(len(freq_rows) - 9, freq_rows[-10:])
+    else:
+        lines += ranked(1, freq_rows)
     lines.append("")
     sections.append("frequency")
 
     bins_path = os.path.join(run, "bins.csv")
     if os.path.exists(bins_path):
-        rows = _read_csv_rows(bins_path)
         lines += ["## Frequency bins (log scale)", "", "| bin | mean accuracy | concepts |", "|---|---|---|"]
-        for r in rows:
-            lines.append(f"| {r['bin']} | {float(r['mean_acc']):.6f} | {r['count']} |")
+        lines += read_csv(
+            bins_path,
+            ("bin", "mean_acc", "count"),
+            "bin row",
+            lambda r: f"| {r['bin']} | {float(r['mean_acc']):.6f} | {r['count']} |",
+        )
         lines.append("")
         sections.append("bins")
 
-    split_rows = None
+    split_of: dict[int, str] = {}
     split_path = os.path.join(run, "split.csv")
     if os.path.exists(split_path):
-        split_rows = _read_csv_rows(split_path)
-        n_head = sum(1 for r in split_rows if r["split"] == "head")
-        n_tail = sum(1 for r in split_rows if r["split"] == "tail")
+        split_rows = read_csv(
+            split_path,
+            ("concept_id", "split"),
+            "split row",
+            lambda r: (int(r["concept_id"]), r["split"]),
+        )
+        split_of = dict(split_rows)
         lines += [
             "## Head/tail split",
             "",
-            f"- head: {n_head} concepts",
-            f"- tail: {n_tail} concepts",
+            f"- head: {sum(1 for _, split in split_rows if split == 'head')} concepts",
+            f"- tail: {sum(1 for _, split in split_rows if split == 'tail')} concepts",
             "",
         ]
         sections.append("split")
 
     corr_path = os.path.join(run, "correlation.csv")
     if os.path.exists(corr_path):
-        rows = _read_csv_rows(corr_path)
         lines += ["## Frequency–accuracy correlation", "", "| method | value | n |", "|---|---|---|"]
-        for r in rows:
-            lines.append(f"| {r['method']} | {float(r['value']):.6f} | {r['n']} |")
+        lines += read_csv(
+            corr_path,
+            ("method", "value", "n"),
+            "correlation row",
+            lambda r: f"| {r['method']} | {float(r['value']):.6f} | {r['n']} |",
+        )
         lines.append("")
         sections.append("correlation")
 
     chosen_path = os.path.join(run, "chosen.csv")
     if os.path.exists(chosen_path):
-        rows = _read_csv_rows(chosen_path)
+        rows = read_csv(chosen_path, ("concept_id", "name", "chosen", "count"), "chosen row", dict)
         switched = [r for r in rows if r["chosen"] != lexicon.normalize_text(r["name"])]
         lines += [
             "## Chosen synonyms",
@@ -632,60 +599,47 @@ def cmd_report(args) -> dict:
         if switched:
             lines += ["| concept_id | name | chosen | count |", "|---|---|---|---|"]
             for r in switched:
-                lines.append(
-                    f"| {r['concept_id']} | {r['name']} | {r['chosen']} | {r['count']} |"
-                )
+                lines.append(f"| {r['concept_id']} | {r['name']} | {r['chosen']} | {r['count']} |")
             lines.append("")
         sections.append("chosen")
 
-    acc_files = sorted(
-        name
-        for name in os.listdir(run)
-        if name.startswith("acc") and name.endswith(".csv")
-    )
+    acc_files = sorted(n for n in os.listdir(run) if n.startswith("acc") and n.endswith(".csv"))
     if acc_files:
-        split_of = (
-            {int(r["concept_id"]): r["split"] for r in split_rows} if split_rows else None
-        )
         header = "| model | mean per-class acc |"
         rule = "|---|---|"
         if split_of:
             header += " head acc | tail acc |"
             rule += "---|---|"
         lines += ["## Accuracy", "", header, rule]
-        model_stats = []
-        for name in acc_files:
-            rows = _read_csv_rows(os.path.join(run, name))
-            accs = {int(r["concept_id"]): float(r["accuracy"]) for r in rows}
-            mean = sum(accs.values()) / len(accs)
-            label = name[:-4]
-            row = f"| {label} | {mean:.6f} |"
-            head_mean = tail_mean = None
+
+        def means(acc: AccuracyTable) -> list[float | None]:
+            """Mean accuracy, then the head and tail means (None when either is empty)."""
+            out = [sum(acc.accuracies.values()) / len(acc.accuracies)]
             if split_of:
-                head_vals = [a for cid, a in accs.items() if split_of.get(cid) == "head"]
-                tail_vals = [a for cid, a in accs.items() if split_of.get(cid) == "tail"]
-                if head_vals and tail_vals:
-                    head_mean = sum(head_vals) / len(head_vals)
-                    tail_mean = sum(tail_vals) / len(tail_vals)
-                    row += f" {head_mean:.6f} | {tail_mean:.6f} |"
+                head = [cid for cid in acc.accuracies if split_of.get(cid) == "head"]
+                tail = [cid for cid in acc.accuracies if split_of.get(cid) == "tail"]
+                if head and tail:
+                    out += [analytics.subset_mean_accuracy(acc, ids) for ids in (head, tail)]
                 else:
-                    row += " n/a | n/a |"
-            lines.append(row)
-            model_stats.append((label, mean, head_mean, tail_mean))
-        if len(model_stats) > 1:
-            base = model_stats[0]
-            lines += ["", f"Deltas vs `{base[0]}`:", "", header, rule]
-            for label, mean, head_mean, tail_mean in model_stats[1:]:
-                row = f"| {label} | {mean - base[1]:+.6f} |"
-                if split_of and head_mean is not None and base[2] is not None:
-                    row += f" {head_mean - base[2]:+.6f} | {tail_mean - base[3]:+.6f} |"
-                elif split_of:
-                    row += " n/a | n/a |"
-                lines.append(row)
+                    out += [None, None]
+            return out
+
+        def row(label: str, values: list[float | None], fmt: str) -> str:
+            cells = ["n/a" if v is None else f"{v:{fmt}}" for v in values]
+            return f"| {label} | " + " | ".join(cells) + " |"
+
+        stats = [(n[:-4], means(AccuracyTable.from_csv(os.path.join(run, n)))) for n in acc_files]
+        lines += [row(label, values, ".6f") for label, values in stats]
+        if len(stats) > 1:
+            base_label, base = stats[0]
+            lines += ["", f"Deltas vs `{base_label}`:", "", header, rule]
+            for label, values in stats[1:]:
+                deltas = [None if v is None or b is None else v - b for v, b in zip(values, base)]
+                lines.append(row(label, deltas, "+.6f"))
         lines.append("")
         sections.append("accuracy")
 
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_write(args.out) as f:
         f.write("\n".join(lines))
     return {"command": "report", "sections": sections, "out": args.out}
 

@@ -19,7 +19,6 @@ by byte arithmetic rather than a deserializer crash.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from .errors import (
     MissingEmbeddingError,
     ZeroVectorError,
 )
+from .io import atomic_write
 
 MAGIC = b"CEMB"
 VERSION = 1
@@ -104,7 +104,7 @@ def normalize_rows(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
     flags = FLAG_NORMALIZED if matrix.normalized else 0
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IIQI", VERSION, matrix.dim, len(matrix), flags))
         for i, key in enumerate(matrix.keys):
@@ -155,12 +155,6 @@ def load_embeddings(path: str, normalize: bool = False) -> EmbeddingMatrix:
     if normalize and not matrix.normalized:
         matrix = normalize_rows(matrix)
     return matrix
-
-
-def load_weights_sidecar(path: str) -> dict:
-    """Read the JSON sidecar written next to classifier weight files."""
-    with open(str(path) + ".json", encoding="utf-8") as f:
-        return json.load(f)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,0 +1,88 @@
+"""Artifact files: line-numbered readers and atomic writers.
+
+Readers stream JSONL or CSV line by line and map each record through a
+`parse` function; a malformed line, or a KeyError/TypeError/ValueError from
+`parse`, is an InputError naming path:lineno.
+
+Writers never touch the target in place. `atomic_write` fills a temp file
+in the target's directory, flushes and fsyncs it, then `os.replace`s it
+over the target, so a writer killed at any point leaves the previous
+artifact intact. The temp file is opened with plain `open`, so the artifact's
+permissions follow the umask. Text is UTF-8 with no newline translation.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import json
+import os
+
+from .errors import InputError
+
+_PARSE_ERRORS = (KeyError, TypeError, ValueError)  # json.JSONDecodeError is a ValueError
+
+
+def read_jsonl(path: str, what: str, parse) -> list:
+    """parse(obj) for each non-blank line of a JSONL file, in file order."""
+    out = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except _PARSE_ERRORS as e:
+                raise InputError(f"{path}:{lineno}: bad {what}: {e}") from e
+    return out
+
+
+def read_csv(path: str, columns, what: str, parse) -> list:
+    """parse(row) for each row of a CSV file whose header holds `columns`."""
+    out = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if not set(columns).issubset(reader.fieldnames or ()):
+            raise InputError(f"{path}: expected columns {','.join(columns)}")
+        for row in reader:
+            try:
+                out.append(parse(row))
+            except _PARSE_ERRORS as e:
+                raise InputError(f"{path}:{reader.line_num}: bad {what}: {e}") from e
+    return out
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Open a temp file for writing ("w" text or "wb"); on a clean exit it
+    replaces `path`, on an error it is removed and `path` is untouched."""
+    if mode not in ("w", "wb"):
+        raise ValueError(f"atomic_write mode must be 'w' or 'wb', got {mode!r}")
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    text = {"encoding": "utf-8", "newline": ""} if mode == "w" else {}
+    try:
+        with open(tmp, mode, **text) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_jsonl(path: str, records) -> None:
+    """One sorted-key JSON object per line."""
+    with atomic_write(path) as f:
+        for record in records:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def write_csv(path: str, header, rows) -> None:
+    with atomic_write(path) as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)

@@ -22,14 +22,11 @@ silently counted either way.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-
-import requests
 
 from .analytics import FrequencyTable
 from .corpus import normalize_text
@@ -39,8 +36,9 @@ from .errors import (
     ProviderError,
     UndefinedPrecisionError,
 )
+from .io import read_jsonl, write_jsonl
 from .lexicon import CacheFile, Concept, ConceptSet
-from .matcher import MatchHit
+from .matcher import MatchHit, count_captions
 
 logger = logging.getLogger(__name__)
 
@@ -70,19 +68,10 @@ class ValidationSet:
 
     @classmethod
     def from_jsonl(cls, path: str, per_concept_target: int = 32) -> "ValidationSet":
-        pairs = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    pairs.append(
-                        (int(obj["caption_id"]), int(obj["concept_id"]), bool(obj["gold_relevant"]))
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                    raise InputError(f"{path}:{lineno}: bad validation pair: {e}") from e
+        def parse(obj) -> tuple[int, int, bool]:
+            return int(obj["caption_id"]), int(obj["concept_id"]), bool(obj["gold_relevant"])
+
+        pairs = read_jsonl(path, "validation pair", parse)
         if not pairs:
             raise InputError(f"{path}: empty validation set")
         return cls(pairs, per_concept_target)
@@ -105,18 +94,12 @@ class RuleStubJudge:
     @classmethod
     def from_jsonl(cls, path: str, judge_id: str = "rule-stub") -> "RuleStubJudge":
         """Load JSONL of {"name": <concept name>, "reject_phrases": [...]}."""
-        table = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    table[str(obj["name"])] = [str(p) for p in obj["reject_phrases"]]
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise InputError(f"{path}:{lineno}: bad blocklist record: {e}") from e
-        return cls(table, judge_id)
+        rows = read_jsonl(
+            path,
+            "blocklist record",
+            lambda obj: (str(obj["name"]), [str(p) for p in obj["reject_phrases"]]),
+        )
+        return cls(dict(rows), judge_id)
 
     def judge(self, concept: Concept, caption: str, definition: str | None = None) -> bool:
         caption_norm = normalize_text(caption)
@@ -135,6 +118,8 @@ class HttpJudge:
         self.timeout = timeout
 
     def judge(self, concept: Concept, caption: str, definition: str | None = None) -> bool:
+        import requests  # only HTTP judging pays for it
+
         payload = {
             "concept": concept.name,
             "definition": concept.definition if definition is None else definition,
@@ -198,6 +183,17 @@ class VerdictCache:
 class JudgeOutcome:
     verdicts: list[JudgeVerdict]
     undecided: list[tuple[int, int]] = field(default_factory=list)  # (caption_id, concept_id)
+
+    @classmethod
+    def of(cls, results) -> "JudgeOutcome":
+        """Split a stream of verdicts and undecided pairs, keeping each in order."""
+        outcome = cls(verdicts=[])
+        for r in results:
+            if isinstance(r, JudgeVerdict):
+                outcome.verdicts.append(r)
+            else:
+                outcome.undecided.append(r)
+        return outcome
 
 
 def judge_hits(
@@ -268,13 +264,31 @@ def judge_hits(
     else:
         results = [decide(p) for p in pairs]
 
-    outcome = JudgeOutcome(verdicts=[])
-    for r in results:
-        if isinstance(r, JudgeVerdict):
-            outcome.verdicts.append(r)
-        else:
-            outcome.undecided.append(r)
-    return outcome
+    return JudgeOutcome.of(results)
+
+
+def _relevant_pairs(
+    hits: list[MatchHit],
+    verdicts: list[JudgeVerdict],
+    undecided: list[tuple[int, int]] | None,
+) -> set[tuple[int, int]]:
+    """The judged-relevant (caption, concept) pairs of the hits.
+
+    Every pair in the hits must carry a verdict or be listed as undecided —
+    anything else is a ConsistencyError, because a silently unjudged hit
+    would make raw and filtered counts incomparable. Undecided pairs are
+    never relevant.
+    """
+    verdict_map = {(v.caption_id, v.concept_id): v.relevant for v in verdicts}
+    undecided_set = set(undecided or [])
+    for h in hits:
+        key = (h.caption_id, h.concept_id)
+        if key not in verdict_map and key not in undecided_set:
+            raise ConsistencyError(
+                f"hit (caption {h.caption_id}, concept {h.concept_id}) has no verdict "
+                f"and is not marked undecided"
+            )
+    return {key for key, rel in verdict_map.items() if rel and key not in undecided_set}
 
 
 def filtered_frequency(
@@ -283,41 +297,12 @@ def filtered_frequency(
     concepts: ConceptSet | None = None,
     *,
     undecided: list[tuple[int, int]] | None = None,
-    corpus_id: str = "",
 ) -> FrequencyTable:
     """Per-concept counts of captions with ≥1 hit (raw) and ≥1 relevant hit
-    (filtered).
-
-    Every (caption, concept) pair in the hits must carry a verdict or be
-    listed as undecided — anything else is a ConsistencyError, because a
-    silently unjudged hit would make raw and filtered counts incomparable.
-    Undecided pairs count toward raw but not filtered.
-    """
-    verdict_map: dict[tuple[int, int], bool] = {}
-    for v in verdicts:
-        verdict_map[(v.caption_id, v.concept_id)] = v.relevant
-    undecided_set = set(undecided or [])
-
-    raw_caps: dict[int, set[int]] = {}
-    filt_caps: dict[int, set[int]] = {}
-    for h in hits:
-        key = (h.caption_id, h.concept_id)
-        raw_caps.setdefault(h.concept_id, set()).add(h.caption_id)
-        if key in undecided_set:
-            continue
-        if key not in verdict_map:
-            raise ConsistencyError(
-                f"hit (caption {h.caption_id}, concept {h.concept_id}) has no verdict "
-                f"and is not marked undecided"
-            )
-        if verdict_map[key]:
-            filt_caps.setdefault(h.concept_id, set()).add(h.caption_id)
-
-    ids = concepts.ids if concepts is not None else sorted(raw_caps)
-    counts = {
-        cid: (len(raw_caps.get(cid, ())), len(filt_caps.get(cid, ()))) for cid in ids
-    }
-    return FrequencyTable(counts, corpus_id=corpus_id)
+    (filtered). Undecided pairs count toward raw but not filtered."""
+    relevant = _relevant_pairs(hits, verdicts, undecided)
+    ids = concepts.ids if concepts is not None else None
+    return count_captions(hits, ids, relevant)[0]
 
 
 def filtered_synonym_counts(
@@ -327,21 +312,7 @@ def filtered_synonym_counts(
     undecided: list[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, str], int]:
     """Captions per (concept, synonym) counting only judged-relevant pairs."""
-    verdict_map = {(v.caption_id, v.concept_id): v.relevant for v in verdicts}
-    undecided_set = set(undecided or [])
-    caps: dict[tuple[int, str], set[int]] = {}
-    for h in hits:
-        key = (h.caption_id, h.concept_id)
-        if key in undecided_set:
-            continue
-        if key not in verdict_map:
-            raise ConsistencyError(
-                f"hit (caption {h.caption_id}, concept {h.concept_id}) has no verdict "
-                f"and is not marked undecided"
-            )
-        if verdict_map[key]:
-            caps.setdefault((h.concept_id, h.synonym), set()).add(h.caption_id)
-    return {key: len(ids) for key, ids in caps.items()}
+    return count_captions(hits, relevant=_relevant_pairs(hits, verdicts, undecided))[1]
 
 
 def definition_precision(
@@ -379,55 +350,22 @@ def definition_precision(
 
 
 def save_verdicts(outcome: JudgeOutcome, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for v in outcome.verdicts:
-            f.write(
-                json.dumps(
-                    {
-                        "caption_id": v.caption_id,
-                        "concept_id": v.concept_id,
-                        "relevant": v.relevant,
-                        "judge_id": v.judge_id,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        for caption_id, concept_id in outcome.undecided:
-            f.write(
-                json.dumps(
-                    {
-                        "caption_id": caption_id,
-                        "concept_id": concept_id,
-                        "relevant": None,
-                        "judge_id": "",
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    """Verdicts, then undecided pairs as {"relevant": null, "judge_id": ""}."""
+    rows = [(v.caption_id, v.concept_id, v.relevant, v.judge_id) for v in outcome.verdicts]
+    rows += [(caption_id, concept_id, None, "") for caption_id, concept_id in outcome.undecided]
+    keys = ("caption_id", "concept_id", "relevant", "judge_id")
+    write_jsonl(path, (dict(zip(keys, row)) for row in rows))
 
 
 def load_verdicts(path: str) -> JudgeOutcome:
-    outcome = JudgeOutcome(verdicts=[])
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if obj["relevant"] is None:
-                    outcome.undecided.append((int(obj["caption_id"]), int(obj["concept_id"])))
-                else:
-                    outcome.verdicts.append(
-                        JudgeVerdict(
-                            int(obj["caption_id"]),
-                            int(obj["concept_id"]),
-                            bool(obj["relevant"]),
-                            str(obj.get("judge_id", "")),
-                        )
-                    )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise InputError(f"{path}:{lineno}: bad verdict record: {e}") from e
-    return outcome
+    def parse(obj) -> JudgeVerdict | tuple[int, int]:
+        if obj["relevant"] is None:
+            return int(obj["caption_id"]), int(obj["concept_id"])
+        return JudgeVerdict(
+            int(obj["caption_id"]),
+            int(obj["concept_id"]),
+            bool(obj["relevant"]),
+            str(obj.get("judge_id", "")),
+        )
+
+    return JudgeOutcome.of(read_jsonl(path, "verdict record", parse))

@@ -21,11 +21,11 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from .corpus import normalize_text
 from .embeddings import EmbeddingMatrix
 from .errors import InputError, ProviderError
+from .io import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -78,35 +78,10 @@ class ConceptSet:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "ConceptSet":
-        concepts = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    concepts.append(
-                        Concept(
-                            concept_id=int(obj["concept_id"]),
-                            name=str(obj["name"]),
-                            definition=str(obj.get("definition", "")),
-                        )
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                    raise InputError(f"{path}:{lineno}: bad concept record: {e}") from e
-        return cls(concepts)
+        def parse(obj) -> Concept:
+            return Concept(int(obj["concept_id"]), str(obj["name"]), str(obj.get("definition", "")))
 
-    def to_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for c in self.concepts:
-                f.write(
-                    json.dumps(
-                        {"concept_id": c.concept_id, "name": c.name, "definition": c.definition},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        return cls(read_jsonl(path, "concept record", parse))
 
 
 @dataclass
@@ -150,18 +125,12 @@ class FixtureSynonymProvider:
 
     @classmethod
     def from_jsonl(cls, path: str, provider_id: str = "fixture") -> "FixtureSynonymProvider":
-        table = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    table[str(obj["name"])] = [str(s) for s in obj["synonyms"]]
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise InputError(f"{path}:{lineno}: bad synonym record: {e}") from e
-        return cls(table, provider_id)
+        rows = read_jsonl(
+            path,
+            "synonym record",
+            lambda obj: (str(obj["name"]), [str(s) for s in obj["synonyms"]]),
+        )
+        return cls(dict(rows), provider_id)
 
     def synonyms_for(self, name: str) -> list[str]:
         return list(self.table.get(name, []))
@@ -176,6 +145,8 @@ class HttpSynonymProvider:
         self.timeout = timeout
 
     def synonyms_for(self, name: str) -> list[str]:
+        import requests  # only HTTP synonym expansion pays for it
+
         try:
             resp = requests.post(
                 self.base_url + "/synonyms", json={"name": name}, timeout=self.timeout
@@ -367,40 +338,30 @@ def filter_synonyms(
 
 def load_synonym_sets(path: str) -> list[SynonymSet]:
     """Read the synonyms artifact: JSONL {"concept_id","name","synonyms","provenance"}."""
-    sets = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                synonyms = [str(s) for s in obj["synonyms"]]
-                provenance = [str(t) for t in obj.get("provenance", [])]
-                if not provenance:
-                    provenance = [PROVENANCE_ORIGINAL] + [PROVENANCE_PROVIDER] * (
-                        len(synonyms) - 1
-                    )
-                sets.append(SynonymSet(int(obj["concept_id"]), synonyms, provenance))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise InputError(f"{path}:{lineno}: bad synonym set: {e}") from e
+
+    def parse(obj) -> SynonymSet:
+        synonyms = [str(s) for s in obj["synonyms"]]
+        provenance = [str(t) for t in obj.get("provenance", [])]
+        if not provenance:
+            provenance = [PROVENANCE_ORIGINAL] + [PROVENANCE_PROVIDER] * (len(synonyms) - 1)
+        return SynonymSet(int(obj["concept_id"]), synonyms, provenance)
+
+    sets = read_jsonl(path, "synonym set", parse)
     if not sets:
         raise InputError(f"{path}: no synonym sets")
     return sets
 
 
 def save_synonym_sets(sets: list[SynonymSet], concepts: ConceptSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in sets:
-            f.write(
-                json.dumps(
-                    {
-                        "concept_id": s.concept_id,
-                        "name": concepts[s.concept_id].name,
-                        "synonyms": s.synonyms,
-                        "provenance": s.provenance,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "concept_id": s.concept_id,
+                "name": concepts[s.concept_id].name,
+                "synonyms": s.synonyms,
+                "provenance": s.provenance,
+            }
+            for s in sets
+        ),
+    )

@@ -21,15 +21,14 @@ Two modes:
     occurrence exactly. A single combined `search` prefilter skips captions
     that contain no candidate at all.
 
-Counting is per caption: a caption contributes at most 1 to a concept's
-raw count no matter how many times, or via how many synonyms, it mentions
-the concept. Hits are emitted one per (caption, concept, synonym) with the
-span of the first occurrence.
+Hits are emitted one per (caption, concept, synonym) with the span of the
+first occurrence. `count_captions` is the one counter every stage uses: a
+caption contributes at most 1 to a concept's count no matter how many
+times, or via how many synonyms, it mentions the concept.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from dataclasses import dataclass, field
 from .analytics import FrequencyTable
 from .corpus import CorpusShard, iter_shard
 from .errors import EmptyPatternSetError, InputError
+from .io import read_jsonl, write_jsonl
 from .lexicon import SynonymSet
 
 MODES = ("whole_word", "partial")
@@ -144,35 +144,12 @@ def compile(sets: list[SynonymSet], mode: str = "whole_word") -> PatternAutomato
 
 @dataclass
 class ScanResult:
-    """Output of one scan: hits plus per-concept (and optional per-synonym) tallies."""
+    """Output of one scan: every hit, and the per-concept counts they give."""
 
     table: FrequencyTable
     n_records: int
     n_skipped: int = 0
     hits: list[MatchHit] = field(default_factory=list)
-    synonym_counts: dict[tuple[int, str], int] | None = None
-
-    def merge(self, other: "ScanResult") -> "ScanResult":
-        """Combine two shard results; merging is associative addition."""
-        counts = {
-            cid: (
-                self.table.raw(cid) + other.table.raw(cid),
-                self.table.filtered(cid) + other.table.filtered(cid),
-            )
-            for cid in self.table.counts
-        }
-        syn = None
-        if self.synonym_counts is not None and other.synonym_counts is not None:
-            syn = dict(self.synonym_counts)
-            for key, n in other.synonym_counts.items():
-                syn[key] = syn.get(key, 0) + n
-        return ScanResult(
-            table=FrequencyTable(counts, corpus_id=self.table.corpus_id),
-            n_records=self.n_records + other.n_records,
-            n_skipped=self.n_skipped + other.n_skipped,
-            hits=self.hits + other.hits,
-            synonym_counts=syn,
-        )
 
 
 def caption_hits(record_id: int, norm_text: str, automaton: PatternAutomaton) -> list[MatchHit]:
@@ -190,52 +167,53 @@ def caption_hits(record_id: int, norm_text: str, automaton: PatternAutomaton) ->
     return hits
 
 
-def scan(
-    records,
-    automaton: PatternAutomaton,
-    *,
-    per_synonym: bool = False,
-    hit_sink=None,
-    corpus_id: str = "",
-) -> ScanResult:
+def count_captions(
+    hits: list[MatchHit],
+    concept_ids: list[int] | None = None,
+    relevant: set[tuple[int, int]] | None = None,
+) -> tuple[FrequencyTable, dict[tuple[int, str], int]]:
+    """Distinct captions per concept and per (concept_id, synonym).
+
+    The table's raw count takes every hit; its filtered count takes only
+    hits whose (caption_id, concept_id) pair is in `relevant`, or every hit
+    when `relevant` is None. The per-synonym counts take the same hits as
+    the filtered count. Table rows are `concept_ids` in that order (zero
+    rows included), or the concepts seen in the hits in ascending order.
+    """
+    raw: dict[int, set[int]] = {}
+    kept: dict[int, set[int]] = {}
+    per_synonym: dict[tuple[int, str], set[int]] = {}
+    for h in hits:
+        raw.setdefault(h.concept_id, set()).add(h.caption_id)
+        if relevant is None or (h.caption_id, h.concept_id) in relevant:
+            kept.setdefault(h.concept_id, set()).add(h.caption_id)
+            per_synonym.setdefault((h.concept_id, h.synonym), set()).add(h.caption_id)
+    ids = sorted(raw) if concept_ids is None else concept_ids
+    table = FrequencyTable({cid: (len(raw.get(cid, ())), len(kept.get(cid, ()))) for cid in ids})
+    return table, {key: len(caps) for key, caps in per_synonym.items()}
+
+
+def _match_records(records, automaton: PatternAutomaton) -> tuple[list[MatchHit], int, int]:
+    """(hits, records read, records skipped) of one pass over a record stream."""
+    hits: list[MatchHit] = []
+    n_records = 0
+    for rec in records:
+        n_records += 1
+        hits.extend(caption_hits(rec.id, rec.norm_text, automaton))
+    return hits, n_records, getattr(records, "skip_count", 0)
+
+
+def scan(records, automaton: PatternAutomaton) -> ScanResult:
     """Scan an iterable of CaptionRecords.
 
     Raw counts are per caption (≤ 1 per concept per caption); the returned
     FrequencyTable carries them in both raw and filtered slots — judging
-    replaces the filtered slot downstream. With per_synonym=True the result
-    also tallies captions per (concept_id, synonym), the input to
-    most-frequent-synonym selection. When `hit_sink` is given each hit is
-    passed to it instead of being retained in memory.
+    replaces the filtered slot downstream. Per-synonym counts come from
+    `count_captions(result.hits)`.
     """
-    concept_counts = {cid: 0 for cid in automaton.concept_ids}
-    synonym_counts: dict[tuple[int, str], int] | None = {} if per_synonym else None
-    collected: list[MatchHit] = []
-    n_records = 0
-    for rec in records:
-        n_records += 1
-        hits = caption_hits(rec.id, rec.norm_text, automaton)
-        seen_concepts = set()
-        for hit in hits:
-            if hit.concept_id not in seen_concepts:
-                seen_concepts.add(hit.concept_id)
-                concept_counts[hit.concept_id] = concept_counts.get(hit.concept_id, 0) + 1
-            if synonym_counts is not None:
-                key = (hit.concept_id, hit.synonym)
-                synonym_counts[key] = synonym_counts.get(key, 0) + 1
-            if hit_sink is not None:
-                hit_sink(hit)
-            else:
-                collected.append(hit)
-    table = FrequencyTable(
-        {cid: (n, n) for cid, n in concept_counts.items()}, corpus_id=corpus_id
-    )
-    return ScanResult(
-        table=table,
-        n_records=n_records,
-        n_skipped=getattr(records, "skip_count", 0),
-        hits=collected,
-        synonym_counts=synonym_counts,
-    )
+    hits, n_records, n_skipped = _match_records(records, automaton)
+    table, _ = count_captions(hits, automaton.concept_ids)
+    return ScanResult(table, n_records, n_skipped, hits)
 
 
 def scan_shards(
@@ -244,62 +222,44 @@ def scan_shards(
     format: str = "jsonl",
     *,
     threads: int = 1,
-    per_synonym: bool = False,
-    corpus_id: str = "",
 ) -> ScanResult:
-    """Scan shards concurrently and merge in shard order.
+    """Scan shards concurrently and count once over the hits in shard order.
 
-    Counts merge by addition and hit streams concatenate in shard order, so
-    the result is identical to a single-pass scan regardless of thread
-    count.
+    Hit streams concatenate in shard order, so the result is identical to a
+    single-pass scan regardless of thread count.
     """
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
 
-    def run(shard: CorpusShard) -> ScanResult:
-        return scan(
-            iter_shard(shard, format),
-            automaton,
-            per_synonym=per_synonym,
-            corpus_id=corpus_id,
-        )
+    def run(shard: CorpusShard):
+        return _match_records(iter_shard(shard, format), automaton)
 
     if threads == 1 or len(shards) == 1:
         results = [run(s) for s in shards]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, shards))
-    merged = results[0]
-    for r in results[1:]:
-        merged = merged.merge(r)
-    return merged
+    hits = [h for shard_hits, _, _ in results for h in shard_hits]
+    table, _ = count_captions(hits, automaton.concept_ids)
+    n_records = sum(n for _, n, _ in results)
+    n_skipped = sum(n for _, _, n in results)
+    return ScanResult(table, n_records, n_skipped, hits)
 
 
 def save_hits(hits: list[MatchHit], path: str) -> None:
     """Write hits as JSONL {"caption_id","concept_id","synonym"}, scan order."""
-    with open(path, "w", encoding="utf-8") as f:
-        for h in hits:
-            f.write(
-                json.dumps(
-                    {"caption_id": h.caption_id, "concept_id": h.concept_id, "synonym": h.synonym},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {"caption_id": h.caption_id, "concept_id": h.concept_id, "synonym": h.synonym}
+            for h in hits
+        ),
+    )
 
 
 def load_hits(path: str) -> list[MatchHit]:
-    hits = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                hits.append(
-                    MatchHit(int(obj["caption_id"]), int(obj["concept_id"]), str(obj["synonym"]))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise InputError(f"{path}:{lineno}: bad hit record: {e}") from e
-    return hits
+    return read_jsonl(
+        path,
+        "hit record",
+        lambda obj: MatchHit(int(obj["caption_id"]), int(obj["concept_id"]), str(obj["synonym"])),
+    )

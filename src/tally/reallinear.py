@@ -12,7 +12,6 @@ coefficient — which consistently beats either alone.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 from .analytics import AccuracyTable, mean_per_class_accuracy
 from .embeddings import EmbeddingMatrix, average_normalized
 from .errors import DivergenceError, InputError
+from .io import read_jsonl, write_jsonl
 from .lexicon import SynonymSet
 from .matcher import MatchHit
 from .realprompt import ClassifierWeights
@@ -28,7 +28,6 @@ from .realprompt import ClassifierWeights
 logger = logging.getLogger(__name__)
 
 DEFAULT_K = 500
-K_SWEEP = (100, 500)
 
 TRAIN_MODES = ("cross_modal", "image_only")
 
@@ -51,37 +50,28 @@ class RetrievalSet:
         return {cid: self.k - len(rows) for cid, rows in self.ranked.items() if len(rows) < self.k}
 
     def to_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for cid in sorted(self.ranked):
-                for rank, (caption_id, score) in enumerate(self.ranked[cid]):
-                    f.write(
-                        json.dumps(
-                            {
-                                "concept_id": cid,
-                                "caption_id": caption_id,
-                                "score": float(score),
-                                "rank": rank,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+        write_jsonl(
+            path,
+            (
+                {"concept_id": cid, "caption_id": caption_id, "score": float(score), "rank": rank}
+                for cid in sorted(self.ranked)
+                for rank, (caption_id, score) in enumerate(self.ranked[cid])
+            ),
+        )
 
     @classmethod
     def from_jsonl(cls, path: str, k: int | None = None) -> "RetrievalSet":
         ranked: dict[int, list[tuple[int, int, float]]] = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    ranked.setdefault(int(obj["concept_id"]), []).append(
-                        (int(obj["rank"]), int(obj["caption_id"]), float(obj["score"]))
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                    raise InputError(f"{path}:{lineno}: bad retrieval record: {e}") from e
+        rows = read_jsonl(
+            path,
+            "retrieval record",
+            lambda obj: (
+                int(obj["concept_id"]),
+                (int(obj["rank"]), int(obj["caption_id"]), float(obj["score"])),
+            ),
+        )
+        for cid, row in rows:
+            ranked.setdefault(cid, []).append(row)
         if not ranked:
             raise InputError(f"{path}: empty retrieval set")
         out: dict[int, list[tuple[int, float]]] = {}

@@ -23,6 +23,7 @@ from .embeddings import (
     save_embeddings,
 )
 from .errors import InputError
+from .io import atomic_write
 from .lexicon import SynonymSet
 
 logger = logging.getLogger(__name__)
@@ -138,7 +139,7 @@ class ClassifierWeights:
             normalized=(self.role == "W_zs"),
         )
         save_embeddings(mat, path)
-        with open(str(path) + ".json", "w", encoding="utf-8") as f:
+        with atomic_write(str(path) + ".json") as f:
             json.dump(
                 {"role": self.role, "concept_ids": self.concept_ids, "provenance": self.provenance},
                 f,
@@ -192,23 +193,12 @@ def build_zeroshot(
     )
 
 
-def classify(weights: ClassifierWeights, image_emb: np.ndarray) -> tuple[int, np.ndarray]:
-    """Argmax of W · x; exact logit ties resolve to the smallest concept_id."""
-    x = np.asarray(image_emb, dtype=np.float32)
-    if x.shape != (weights.dim,):
-        raise InputError(f"query shape {x.shape} does not match dim {weights.dim}")
-    logits = weights.matrix @ x
-    best = np.max(logits)
-    tied = [cid for cid, v in zip(weights.concept_ids, logits) if v == best]
-    return min(tied), logits
-
-
 def classify_batch(weights: ClassifierWeights, queries: np.ndarray) -> np.ndarray:
-    """Vectorized classify: (n × dim) queries -> n predicted concept_ids.
+    """Argmax of W · x for each of (n × dim) queries -> n predicted concept_ids.
 
-    Matches `classify` exactly, including the smallest-concept-id tie rule:
-    columns are scanned in ascending concept_id order and argmax returns
-    the first maximum.
+    Exact logit ties resolve to the smallest concept_id: columns are
+    scanned in ascending concept_id order and argmax returns the first
+    maximum.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float32)
     if queries.ndim != 2 or queries.shape[1] != weights.dim:

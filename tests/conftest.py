@@ -69,6 +69,22 @@ def make_embeddings(keys, dim=8, seed=0, normalized=True):
     return EmbeddingMatrix(list(keys), unit_rows(len(keys), dim, rng), normalized=normalized)
 
 
+def fake_post(outcome):
+    """A stand-in for requests.post that opens no socket: it raises
+    `outcome` when that is an exception, else answers 200 with its bytes."""
+    import requests
+
+    def post(url, json=None, timeout=None):
+        if isinstance(outcome, Exception):
+            raise outcome
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = outcome
+        return resp
+
+    return post
+
+
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))

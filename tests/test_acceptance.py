@@ -95,14 +95,15 @@ def _random_records(rng, n_records, max_tokens):
 
 def _check_against_brute_force(records, sets, mode):
     automaton = matcher.compile(sets, mode=mode)
-    result = matcher.scan(records, automaton, per_synonym=True)
+    result = matcher.scan(records, automaton)
     got = {(h.caption_id, h.concept_id, h.synonym, h.span[0], h.span[1]) for h in result.hits}
     want = brute_force_hits(records, sets, mode)
     assert got == want
     want_counts = brute_force_counts(want, [s.concept_id for s in sets])
     assert result.table.counts == {cid: (n, n) for cid, n in want_counts.items()}
     want_syn = brute_force_synonym_counts(want)
-    assert {k: v for k, v in result.synonym_counts.items() if v} == want_syn
+    synonym_counts = matcher.count_captions(result.hits)[1]
+    assert {k: v for k, v in synonym_counts.items() if v} == want_syn
 
 
 def test_01_matcher_brute_force_equivalence(capsys):
@@ -140,14 +141,14 @@ def test_02_shard_determinism(tmp_path, capsys):
                         f.write("not json at all\n")
                     text = " ".join(rng.choice(TOKENS, size=int(rng.integers(1, 9))))
                     f.write(json.dumps({"id": i, "text": text}) + "\n")
-            single = matcher.scan(open_corpus(str(path)), automaton, per_synonym=True)
+            single = matcher.scan(open_corpus(str(path)), automaton)
             shards = shard_corpus(str(path), int(rng.integers(1, 9)))
-            merged = matcher.scan_shards(
-                shards, automaton, threads=int(rng.integers(1, 9)), per_synonym=True
-            )
+            merged = matcher.scan_shards(shards, automaton, threads=int(rng.integers(1, 9)))
             assert merged.table.counts == single.table.counts
             assert merged.hits == single.hits
-            assert merged.synonym_counts == single.synonym_counts
+            assert (
+                matcher.count_captions(merged.hits)[1] == matcher.count_captions(single.hits)[1]
+            )
             assert (merged.n_records, merged.n_skipped) == (single.n_records, single.n_skipped)
 
 
@@ -197,8 +198,7 @@ def test_04_longtail_analytics(capsys):
         acc = 1.0 / (1.0 + np.exp(-(a * np.log1p(counts) + b)))
         acc = np.clip(acc + rng.normal(0.0, 0.02, n_concepts), 0.0, 1.0)
 
-        freq = FrequencyTable({i: (int(counts[i]), int(counts[i])) for i in range(n_concepts)},
-                              corpus_id="zipf-sim")
+        freq = FrequencyTable({i: (int(counts[i]), int(counts[i])) for i in range(n_concepts)})
         table = AccuracyTable({i: float(acc[i]) for i in range(n_concepts)}, model_id="sim")
 
         head, tail = analytics.head_tail_split(freq, tail_fraction=0.2)

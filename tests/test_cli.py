@@ -386,6 +386,53 @@ def test_input_errors_exit_2(capsys, world):
     run_fail(capsys, ["report", "--run-dir", art(world, "no_such_run"), "--out", art(world, "r.md")], 2)
 
 
+def test_bad_definitions_line_names_path_and_line(capsys, world):
+    bad = world["dir"] / "definitions_bad.jsonl"
+    for body in ('{"concept_id": 0, "definitions": ["x"]}\n{broken\n',
+                 '{"concept_id": 0, "definitions": ["x"]}\n{"concept_id": 0}\n'):
+        bad.write_text(body)
+        err = run_fail(capsys, [
+            "judge", "--concepts", world["concepts"], "--corpus", world["corpus"],
+            "--blocklist", world["blocklist"], "--precision",
+            "--validation", world["validation"], "--definitions", str(bad),
+            "--out", art(world, "precision.csv"),
+        ], 2)
+        assert err["error"] == "InputError"
+        assert f"{bad}:2: bad definitions record" in err["message"]
+
+
+def test_non_integer_counts_name_path_and_line(capsys, world):
+    freq = world["dir"] / "freq_bad.csv"
+    freq.write_text("concept_id,name,raw,filtered\n0,tiger,3,2\n1,cat,2,two\n2,atm,1,1\n")
+    err = run_fail(capsys, [
+        "analyze", "--freq", str(freq), "--acc", world["acc"], "--out-dir", art(world, "an"),
+    ], 2)
+    assert err["error"] == "InputError"
+    assert f"{freq}:3: bad frequency row" in err["message"]
+
+    run_dir = world["dir"] / "bad_run"
+    run_dir.mkdir()
+    shutil.copy(freq, run_dir / "freq.csv")
+    err = run_fail(capsys, ["report", "--run-dir", str(run_dir), "--out", art(world, "r.md")], 2)
+    assert err["error"] == "InputError"
+    assert f"{run_dir / 'freq.csv'}:3: bad frequency row" in err["message"]
+
+    syn = world["dir"] / "syncounts_bad.csv"
+    syn.write_text(
+        "concept_id,synonym,raw,filtered,count_source\n0,tiger,3,x,filtered\n"
+    )
+    synsets = write_jsonl(world["dir"] / "synsets_one.jsonl", [
+        {"concept_id": 0, "name": "tiger", "synonyms": ["tiger"], "provenance": ["original"]},
+    ])
+    err = run_fail(capsys, [
+        "prompt", "--synonyms", synsets, "--syn-counts", str(syn),
+        "--templates", "photo_of", "--embeddings", f"prompts={world['prompts_emb']}",
+        "--out", art(world, "wzs.bin"),
+    ], 2)
+    assert err["error"] == "InputError"
+    assert f"{syn}:2: bad synonym count row" in err["message"]
+
+
 def test_report_names_missing_artifact(capsys, world):
     (world["dir"] / "empty_run").mkdir()
     err = run_fail(capsys, [

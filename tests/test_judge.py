@@ -5,7 +5,9 @@ import logging
 import threading
 
 import pytest
+import requests
 
+from conftest import fake_post
 from tally.corpus import normalize_text, open_corpus
 from tally.errors import (
     ConsistencyError,
@@ -448,6 +450,22 @@ def test_http_judge_non_bool_relevant(http_provider):
     http_provider.route("/judge", lambda req: (200, {"relevant": 1}))
     with pytest.raises(ProviderError, match="not bool"):
         HttpJudge(http_provider.url).judge(Concept(0, "tiger"), "text")
+
+
+@pytest.mark.parametrize(
+    "outcome, message",
+    [
+        (requests.ConnectionError("refused"), "refused"),
+        (b"<html>not json", "judge failed for concept 7"),
+        (b'{"relevant": "yes"}', "not bool"),
+        (b'{"verdict": true}', "relevant"),
+    ],
+)
+def test_http_judge_failures_are_provider_errors(monkeypatch, outcome, message):
+    monkeypatch.setattr(requests, "post", fake_post(outcome))
+    with pytest.raises(ProviderError, match=message) as err:
+        HttpJudge("http://judge.invalid").judge(Concept(7, "tiger"), "text")
+    assert err.value.concept_id == 7
 
 
 # ------------------------------------------------------------ persistence

@@ -5,8 +5,10 @@ import logging
 
 import numpy as np
 import pytest
+import requests
 
-from conftest import write_jsonl
+from conftest import fake_post, write_jsonl
+from tally import io
 from tally.embeddings import EmbeddingMatrix, cosine
 from tally.errors import InputError, MissingEmbeddingError, ProviderError
 from tally.lexicon import (
@@ -45,7 +47,10 @@ def test_concept_set_lookup_unknown():
 def test_concept_set_jsonl_round_trip(tmp_path):
     cs = ConceptSet([Concept(3, "tiger", "striped cat"), Concept(1, "atm", "cash dispenser")])
     path = tmp_path / "concepts.jsonl"
-    cs.to_jsonl(str(path))
+    io.write_jsonl(
+        str(path),
+        ({"concept_id": c.concept_id, "name": c.name, "definition": c.definition} for c in cs),
+    )
     back = ConceptSet.from_jsonl(str(path))
     assert [(c.concept_id, c.name, c.definition) for c in back] == [
         (3, "tiger", "striped cat"),
@@ -232,6 +237,29 @@ def test_http_provider_unreachable():
     provider = HttpSynonymProvider("http://127.0.0.1:9", timeout=0.2)
     with pytest.raises(ProviderError):
         provider.synonyms_for("tiger")
+
+
+@pytest.mark.parametrize(
+    "outcome, message",
+    [
+        (requests.ConnectionError("refused"), "refused"),
+        (b"<html>not json", "tiger"),
+        (b'{"wrong": []}', "synonyms"),
+        (b'{"synonyms": 3}', "not iterable"),
+    ],
+)
+def test_http_provider_failures_are_provider_errors(monkeypatch, outcome, message):
+    monkeypatch.setattr(requests, "post", fake_post(outcome))
+    with pytest.raises(ProviderError, match=message):
+        HttpSynonymProvider("http://synonyms.invalid").synonyms_for("tiger")
+
+
+def test_http_provider_reads_synonyms(monkeypatch):
+    monkeypatch.setattr(requests, "post", fake_post(b'{"synonyms": ["big cat", 7]}'))
+    assert HttpSynonymProvider("http://synonyms.invalid").synonyms_for("tiger") == [
+        "big cat",
+        "7",
+    ]
 
 
 # ----------------------------------------------------------------- filter

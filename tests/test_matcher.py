@@ -23,6 +23,7 @@ from tally.matcher import (
     MatchHit,
     caption_hits,
     compile,
+    count_captions,
     load_hits,
     save_hits,
     scan,
@@ -128,12 +129,14 @@ def test_span_invariant(tiger_sets):
 def test_scan_counts_captions_not_occurrences(tiger_corpus, tiger_sets):
     path, _ = tiger_corpus
     auto = compile(tiger_sets)
-    result = scan(open_corpus(path), auto, per_synonym=True)
+    result = scan(open_corpus(path), auto)
     assert result.n_records == 7
     assert result.table.raw(0) == 5  # captions 0, 1, 3, 5, 6
     assert result.table.raw(1) == 1  # caption 5 only
     assert result.table.filtered(0) == 5  # judging not applied yet
-    assert result.synonym_counts == {
+    table, synonym_counts = count_captions(result.hits)
+    assert table.counts == result.table.counts
+    assert synonym_counts == {
         (0, "tiger"): 3,
         (0, "panthera tigris"): 1,
         (0, "big cat"): 1,
@@ -162,16 +165,6 @@ def test_scan_monotone_in_corpus_size(tiger_sets):
         part = scan(records_of(texts)[: k + 1], auto)
         for cid in (0, 1):
             assert part.table.raw(cid) <= full.table.raw(cid)
-
-
-def test_scan_hit_sink_streams_instead_of_retaining(tiger_corpus, tiger_sets):
-    path, _ = tiger_corpus
-    auto = compile(tiger_sets)
-    sunk = []
-    result = scan(open_corpus(path), auto, hit_sink=sunk.append)
-    assert result.hits == []
-    retained = scan(open_corpus(path), auto)
-    assert sunk == retained.hits
 
 
 def test_scan_reports_reader_skips(tmp_path, tiger_sets):
@@ -230,22 +223,19 @@ def test_whole_word_find_shared_first_token():
 
 def test_whole_word_scan_matches_oracle_on_adversarial_captions():
     records = records_of(ADVERSARIAL_CAPTIONS)
-    result = scan(records, compile(ADVERSARIAL_SETS), per_synonym=True)
+    result = scan(records, compile(ADVERSARIAL_SETS))
     oracle = brute_force_hits(records, ADVERSARIAL_SETS)
     assert hit_tuples(result.hits) == oracle
     concept_ids = [s.concept_id for s in ADVERSARIAL_SETS]
     assert result.table.counts == {
         cid: (n, n) for cid, n in brute_force_counts(oracle, concept_ids).items()
     }
-    assert {k: v for k, v in result.synonym_counts.items() if v} == (
-        brute_force_synonym_counts(oracle)
-    )
+    assert count_captions(result.hits)[1] == brute_force_synonym_counts(oracle)
 
 
-def test_import_cli_does_not_load_scipy():
-    """Only `tally analyze` correlates, so only it pays for scipy's import."""
+def _loaded_by_cli_import(module: str) -> bool:
     src_dir = os.path.dirname(os.path.dirname(tally.__file__))
-    code = "import sys, tally.cli; print('scipy' in sys.modules)"
+    code = f"import sys, tally.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src_dir},
@@ -254,7 +244,17 @@ def test_import_cli_does_not_load_scipy():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_cli_does_not_load_scipy():
+    """Only `tally analyze` correlates, so only it pays for scipy's import."""
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_import_cli_does_not_load_requests():
+    """Only the HTTP provider and judge use requests; offline stages skip it."""
+    assert not _loaded_by_cli_import("requests")
 
 
 # -------------------------------------------------- randomized oracle
@@ -287,13 +287,13 @@ def test_randomized_equivalence_with_brute_force(mode):
         rng = random.Random(1000 * (mode == "partial") + trial)
         records, sets = random_world(rng)
         auto = compile(sets, mode=mode)
-        result = scan(records, auto, per_synonym=True)
+        result = scan(records, auto)
         oracle = brute_force_hits(records, sets, mode=mode)
         assert hit_tuples(result.hits) == oracle, f"trial {trial}"
         expected_counts = brute_force_counts(oracle, [s.concept_id for s in sets])
         assert {cid: result.table.raw(cid) for cid in expected_counts} == expected_counts
         expected_syn = brute_force_synonym_counts(oracle)
-        assert {k: v for k, v in result.synonym_counts.items() if v} == expected_syn
+        assert count_captions(result.hits)[1] == expected_syn
 
 
 # ---------------------------------------------------------------- shards
@@ -321,28 +321,30 @@ def test_shard_scan_equals_single_scan(tmp_path, n_shards, threads):
         SynonymSet(1, ["ba", "a"], ["manual", "manual"]),
     ]
     auto = compile(sets)
-    single = scan(open_corpus(path), auto, per_synonym=True)
+    single = scan(open_corpus(path), auto)
     shards = shard_corpus(path, n_shards)
-    merged = scan_shards(shards, auto, threads=threads, per_synonym=True)
+    merged = scan_shards(shards, auto, threads=threads)
     assert merged.table.counts == single.table.counts
     assert merged.hits == single.hits
     assert merged.n_records == single.n_records
     assert merged.n_skipped == single.n_skipped
-    assert merged.synonym_counts == single.synonym_counts
+    assert count_captions(merged.hits) == count_captions(single.hits)
 
 
-def test_merge_is_associative(tiger_sets):
+def test_split_scans_count_as_whole_scan(tiger_sets):
+    """Counting the concatenated hits of scans over consecutive parts of a
+    corpus gives the whole scan's counts, wherever the parts are cut."""
     auto = compile(tiger_sets)
-    parts = [
-        scan(records_of(["a tiger walking"]), auto),
-        scan(records_of(["the big cat sleeps", "no match here"]), auto),
-        scan(records_of(["panthera tigris"]), auto),
-    ]
-    left = parts[0].merge(parts[1]).merge(parts[2])
-    right = parts[0].merge(parts[1].merge(parts[2]))
-    assert left.table.counts == right.table.counts
-    assert left.hits == right.hits
-    assert left.n_records == right.n_records
+    records = records_of(
+        ["a tiger walking", "the big cat sleeps", "no match here", "panthera tigris", "tiger"]
+    )
+    whole = scan(records, auto)
+    for cut in range(len(records) + 1):
+        hits = scan(records[:cut], auto).hits + scan(records[cut:], auto).hits
+        assert hits == whole.hits
+        table, per_synonym = count_captions(hits, auto.concept_ids)
+        assert table.counts == whole.table.counts
+        assert per_synonym == count_captions(whole.hits)[1]
 
 
 def test_scan_shards_rejects_zero_threads(tmp_path, tiger_sets):

@@ -15,7 +15,6 @@ from tally.realprompt import (
     build_prompts,
     build_zeroshot,
     chosen_synonym_report,
-    classify,
     classify_batch,
     most_frequent_synonym,
 )
@@ -197,26 +196,30 @@ def test_classify_picks_highest_logit():
     w = ClassifierWeights(
         "W", [10, 20], np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
     )
-    cid, logits = classify(w, np.array([0.1, 0.9], dtype=np.float32))
-    assert cid == 20
-    assert logits == pytest.approx([0.1, 0.9])
+    assert list(classify_batch(w, np.array([[0.1, 0.9]], dtype=np.float32))) == [20]
 
 
 def test_classify_exact_tie_takes_smallest_id():
     w = ClassifierWeights(
         "W", [20, 10], np.array([[1.0, 0.0], [1.0, 0.0]], dtype=np.float32)
     )
-    cid, _ = classify(w, np.array([1.0, 0.0], dtype=np.float32))
-    assert cid == 10
+    assert list(classify_batch(w, np.array([[1.0, 0.0]], dtype=np.float32))) == [10]
 
 
 def test_classify_shape_check():
     w = ClassifierWeights("W", [0], np.ones((1, 3), dtype=np.float32))
     with pytest.raises(InputError, match="shape"):
-        classify(w, np.ones(4, dtype=np.float32))
+        classify_batch(w, np.ones(3, dtype=np.float32))  # one query, not a batch
 
 
 def test_classify_batch_matches_classify_on_scrambled_ids():
+    """Each row's prediction follows the one-query rule: argmax of W · x,
+    exact logit ties to the smallest concept_id."""
+
+    def classify(weights, x):
+        logits = weights.matrix @ x
+        return min(cid for cid, v in zip(weights.concept_ids, logits) if v == logits.max())
+
     rng = np.random.default_rng(9)
     ids = [7, 2, 9, 4, 0]
     w = ClassifierWeights("W", ids, rng.standard_normal((5, 6)).astype(np.float32))
@@ -224,8 +227,10 @@ def test_classify_batch_matches_classify_on_scrambled_ids():
     # force some exact ties by duplicating a weight row
     w.matrix[3] = w.matrix[1]
     batch = classify_batch(w, queries)
-    singles = [classify(w, q)[0] for q in queries]
+    singles = [classify(w, q) for q in queries]
     assert list(batch) == singles
+    for q, expected in zip(queries, singles):
+        assert list(classify_batch(w, q[None, :])) == [expected]
 
 
 def test_classify_batch_shape_check():
