@@ -12,7 +12,7 @@ into its lexical variants, scan the corpus with whole-word matching, then
 let a relevance judge veto mentions that refer to something else.
 """
 
-from tally.corpus import CaptionRecord, normalize_text
+from tally.corpus import CaptionRecord
 from tally.judge import RuleStubJudge, filtered_frequency, judge_hits
 from tally.lexicon import Concept, ConceptSet, FixtureSynonymProvider, SynonymSet, expand_synonyms
 from tally.matcher import compile, count_captions, scan
@@ -46,9 +46,7 @@ def main() -> None:
         sets.append(synset)
         print(f"{concept.name!r} expands to {synset.synonyms}")
 
-    records = [
-        CaptionRecord(i, text, normalize_text(text), 0) for i, text in enumerate(CAPTIONS)
-    ]
+    records = [CaptionRecord(i, text, 0) for i, text in enumerate(CAPTIONS)]
     automaton = compile(sets, mode="whole_word")
     result = scan(records, automaton)
     _, synonym_counts = count_captions(result.hits)

@@ -48,7 +48,7 @@ def main() -> None:
         chosen, count = most_frequent_synonym(synset, synonym_counts)
         print(f"concept {synset.concept_id}: {synset.original!r} -> prompt with {chosen!r} ({count} captions)")
     print()
-    for row in chosen_synonym_report(sets, synonym_counts, {0: "cash machine", 1: "sneaker"}):
+    for row in chosen_synonym_report(sets, synonym_counts):
         print("  report row:", row)
 
     # Toy embedding space. The image cluster for each class sits where the

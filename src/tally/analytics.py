@@ -97,11 +97,6 @@ class AccuracyTable:
         return cls(dict(rows), model_id=model_id)
 
 
-def sort_by_frequency(freq: FrequencyTable) -> list[int]:
-    """Concept ids by descending filtered count, ties by ascending id."""
-    return sorted(freq.counts, key=lambda cid: (-freq.filtered(cid), cid))
-
-
 def _bin_index(n: int, base: float) -> int:
     """floor(log_base(n)) for n >= 1, computed safely near powers of base."""
     if n <= 0:

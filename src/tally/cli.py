@@ -114,7 +114,7 @@ def cmd_synonyms(args) -> dict:
         sets = lexicon.filter_synonyms(sets, concepts, names, synonyms)
         dropped = before - sum(len(s.synonyms) for s in sets)
 
-    lexicon.save_synonym_sets(sets, concepts, args.out)
+    lexicon.save_synonym_sets(sets, args.out)
     return {
         "command": "synonyms",
         "concepts": len(concepts),
@@ -328,14 +328,7 @@ def cmd_prompt(args) -> dict:
         templates = PromptTemplateSet.from_file(args.templates)
     prompt_embs = _require_embedding(_parse_embeddings(args.embeddings), "prompts")
 
-    names = dict(
-        read_jsonl(
-            args.synonyms,
-            "synonym set",
-            lambda obj: (int(obj["concept_id"]), str(obj.get("name", obj["synonyms"][0]))),
-        )
-    )
-    chosen_rows = realprompt.chosen_synonym_report(sets, syn_counts, names)
+    chosen_rows = realprompt.chosen_synonym_report(sets, syn_counts)
     concept_prompts = [
         (cid, realprompt.build_prompts(chosen, templates))
         for cid, _, chosen, _ in chosen_rows
@@ -390,9 +383,7 @@ def cmd_retrieve(args) -> dict:
     restrict = None
     if args.verdicts:
         outcome = judge_mod.load_verdicts(args.verdicts)
-        restrict = {
-            (v.caption_id, v.concept_id) for v in outcome.verdicts if v.relevant
-        }
+        restrict = judge_mod.relevant_pairs(hits, outcome.verdicts, outcome.undecided)
     queries = reallinear.concept_queries(sets, synonym_embs, use_synonyms=(args.query == "synonyms"))
     result = reallinear.retrieve_balanced(hits, caption_embs, queries, k=args.k, restrict_to=restrict)
     result.to_jsonl(args.out)

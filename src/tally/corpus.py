@@ -2,9 +2,11 @@
 
 A corpus is a line-oriented file of (id, text) records, either JSONL
 ({"id": int, "text": str} per line) or TSV (id<TAB>text, with csv-style
-quoting so a quoted caption may contain tabs). Records are normalized once
-on read; malformed lines are counted and skipped, never fatal, so a single
-bad row in a web-scale dump cannot kill a multi-hour scan.
+quoting so a quoted caption may contain tabs). A record is normalized when
+its norm_text is read, so a pass that keeps few records pays for few.
+Malformed lines are counted and skipped, never fatal, so a single bad row
+in a web-scale dump cannot kill a multi-hour scan; a repeated id is an
+InputError, since its hits could not say which text they came from.
 """
 
 from __future__ import annotations
@@ -45,8 +47,12 @@ class CaptionRecord:
 
     id: int
     raw_text: str
-    norm_text: str
     byte_offset: int
+
+    @property
+    def norm_text(self) -> str:
+        """normalize_text(raw_text), computed on each access."""
+        return normalize_text(self.raw_text)
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,7 @@ class CorpusReader:
 
     def __iter__(self):
         parse = _parse_jsonl_line if self.format == "jsonl" else _parse_tsv_line
+        seen: set[int] = set()
         with open(self.path, "rb") as f:
             f.seek(self.start_byte)
             offset = self.start_byte
@@ -156,13 +163,13 @@ class CorpusReader:
                     self._skip(line_offset, parsed)
                     continue
                 rec_id, text = parsed
+                if rec_id in seen:
+                    raise InputError(
+                        f"{self.path}: duplicate caption id {rec_id} at byte {line_offset}"
+                    )
+                seen.add(rec_id)
                 self.record_count += 1
-                yield CaptionRecord(
-                    id=rec_id,
-                    raw_text=text,
-                    norm_text=normalize_text(text),
-                    byte_offset=line_offset,
-                )
+                yield CaptionRecord(rec_id, text, line_offset)
         if self.record_count == 0 and not self.allow_empty:
             raise EmptyCorpusError(f"no parsable records in {self.path}")
 

@@ -88,19 +88,6 @@ class EmbeddingMatrix:
             raise MissingEmbeddingError(key)
         return self.data[i]
 
-    def subset(self, keys: list[str]) -> "EmbeddingMatrix":
-        rows = np.stack([self.vector(k) for k in keys]) if keys else np.empty((0, self.dim))
-        return EmbeddingMatrix(list(keys), rows, normalized=self.normalized)
-
-
-def normalize_rows(matrix: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Return a copy with each row L2-normalized (zero rows are an error)."""
-    norms = np.linalg.norm(matrix.data, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        bad = matrix.keys[int(np.argmin(norms))]
-        raise ZeroVectorError(f"cannot normalize zero-vector row {bad!r}")
-    return EmbeddingMatrix(list(matrix.keys), matrix.data / norms, normalized=True)
-
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
     flags = FLAG_NORMALIZED if matrix.normalized else 0
@@ -123,8 +110,8 @@ def _take(buf: bytes, pos: int, n: int, what: str) -> tuple[bytes, int]:
     return buf[pos : pos + n], pos + n
 
 
-def load_embeddings(path: str, normalize: bool = False) -> EmbeddingMatrix:
-    """Load an embedding file; optionally L2-normalize rows on the way in.
+def load_embeddings(path: str) -> EmbeddingMatrix:
+    """Load an embedding file.
 
     load_embeddings(save_embeddings(M)) reproduces M bit-exactly.
     """
@@ -151,10 +138,7 @@ def load_embeddings(path: str, normalize: bool = False) -> EmbeddingMatrix:
         raise EmbeddingFormatError(
             f"trailing garbage: file has {len(buf)} bytes, records end at {pos}"
         )
-    matrix = EmbeddingMatrix(keys, rows, normalized=bool(flags & FLAG_NORMALIZED))
-    if normalize and not matrix.normalized:
-        matrix = normalize_rows(matrix)
-    return matrix
+    return EmbeddingMatrix(keys, rows, normalized=bool(flags & FLAG_NORMALIZED))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

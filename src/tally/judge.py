@@ -56,7 +56,6 @@ class ValidationSet:
     """Gold (caption, concept, relevant) triples for definition tuning."""
 
     pairs: list[tuple[int, int, bool]]  # (caption_id, concept_id, gold_relevant)
-    per_concept_target: int = 32
 
     def __post_init__(self):
         seen = set()
@@ -67,14 +66,14 @@ class ValidationSet:
             seen.add(key)
 
     @classmethod
-    def from_jsonl(cls, path: str, per_concept_target: int = 32) -> "ValidationSet":
+    def from_jsonl(cls, path: str) -> "ValidationSet":
         def parse(obj) -> tuple[int, int, bool]:
             return int(obj["caption_id"]), int(obj["concept_id"]), bool(obj["gold_relevant"])
 
         pairs = read_jsonl(path, "validation pair", parse)
         if not pairs:
             raise InputError(f"{path}: empty validation set")
-        return cls(pairs, per_concept_target)
+        return cls(pairs)
 
 
 class RuleStubJudge:
@@ -92,14 +91,14 @@ class RuleStubJudge:
         self.judge_id = judge_id
 
     @classmethod
-    def from_jsonl(cls, path: str, judge_id: str = "rule-stub") -> "RuleStubJudge":
+    def from_jsonl(cls, path: str) -> "RuleStubJudge":
         """Load JSONL of {"name": <concept name>, "reject_phrases": [...]}."""
         rows = read_jsonl(
             path,
             "blocklist record",
             lambda obj: (str(obj["name"]), [str(p) for p in obj["reject_phrases"]]),
         )
-        return cls(dict(rows), judge_id)
+        return cls(dict(rows))
 
     def judge(self, concept: Concept, caption: str, definition: str | None = None) -> bool:
         caption_norm = normalize_text(caption)
@@ -112,9 +111,9 @@ class RuleStubJudge:
 class HttpJudge:
     """POST {"concept","definition","caption"} to <base_url>/judge."""
 
-    def __init__(self, base_url: str, judge_id: str | None = None, timeout: float = 30.0):
+    def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
-        self.judge_id = judge_id or f"http:{self.base_url}"
+        self.judge_id = f"http:{self.base_url}"
         self.timeout = timeout
 
     def judge(self, concept: Concept, caption: str, definition: str | None = None) -> bool:
@@ -267,7 +266,7 @@ def judge_hits(
     return JudgeOutcome.of(results)
 
 
-def _relevant_pairs(
+def relevant_pairs(
     hits: list[MatchHit],
     verdicts: list[JudgeVerdict],
     undecided: list[tuple[int, int]] | None,
@@ -300,7 +299,7 @@ def filtered_frequency(
 ) -> FrequencyTable:
     """Per-concept counts of captions with ≥1 hit (raw) and ≥1 relevant hit
     (filtered). Undecided pairs count toward raw but not filtered."""
-    relevant = _relevant_pairs(hits, verdicts, undecided)
+    relevant = relevant_pairs(hits, verdicts, undecided)
     ids = concepts.ids if concepts is not None else None
     return count_captions(hits, ids, relevant)[0]
 
@@ -312,7 +311,7 @@ def filtered_synonym_counts(
     undecided: list[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, str], int]:
     """Captions per (concept, synonym) counting only judged-relevant pairs."""
-    return count_captions(hits, relevant=_relevant_pairs(hits, verdicts, undecided))[1]
+    return count_captions(hits, relevant=relevant_pairs(hits, verdicts, undecided))[1]
 
 
 def definition_precision(

@@ -86,15 +86,21 @@ class ConceptSet:
 
 @dataclass
 class SynonymSet:
-    """Normalized, deduplicated synonyms for one concept; original name first."""
+    """Normalized, deduplicated synonyms for one concept; original name first.
+
+    `name` is the concept's name as given, before normalization; it
+    defaults to the original synonym.
+    """
 
     concept_id: int
     synonyms: list[str]
     provenance: list[str] = field(default_factory=list)
+    name: str = ""
 
     def __post_init__(self):
         if not self.synonyms:
             raise InputError(f"concept {self.concept_id}: synonym list is empty")
+        self.name = self.name or self.synonyms[0]
         if len(self.provenance) != len(self.synonyms):
             raise InputError(
                 f"concept {self.concept_id}: {len(self.synonyms)} synonyms "
@@ -119,18 +125,19 @@ class SynonymSet:
 class FixtureSynonymProvider:
     """Synonyms from an in-memory mapping or a JSONL file of {"name","synonyms"}."""
 
-    def __init__(self, table: dict[str, list[str]], provider_id: str = "fixture"):
+    provider_id = "fixture"
+
+    def __init__(self, table: dict[str, list[str]]):
         self.table = dict(table)
-        self.provider_id = provider_id
 
     @classmethod
-    def from_jsonl(cls, path: str, provider_id: str = "fixture") -> "FixtureSynonymProvider":
+    def from_jsonl(cls, path: str) -> "FixtureSynonymProvider":
         rows = read_jsonl(
             path,
             "synonym record",
             lambda obj: (str(obj["name"]), [str(s) for s in obj["synonyms"]]),
         )
-        return cls(dict(rows), provider_id)
+        return cls(dict(rows))
 
     def synonyms_for(self, name: str) -> list[str]:
         return list(self.table.get(name, []))
@@ -139,9 +146,9 @@ class FixtureSynonymProvider:
 class HttpSynonymProvider:
     """POST {"name": <concept name>} to <base_url>/synonyms, expect {"synonyms": [...]}."""
 
-    def __init__(self, base_url: str, provider_id: str | None = None, timeout: float = 30.0):
+    def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
-        self.provider_id = provider_id or f"http:{self.base_url}"
+        self.provider_id = f"http:{self.base_url}"
         self.timeout = timeout
 
     def synonyms_for(self, name: str) -> list[str]:
@@ -284,7 +291,7 @@ def expand_synonyms(
         if s_norm and s_norm not in synonyms:
             synonyms.append(s_norm)
             provenance.append(PROVENANCE_PROVIDER)
-    return SynonymSet(concept.concept_id, synonyms, provenance)
+    return SynonymSet(concept.concept_id, synonyms, provenance, concept.name)
 
 
 def filter_synonyms(
@@ -332,7 +339,7 @@ def filter_synonyms(
                     s,
                     ids[int(np.argmax(sims))],
                 )
-        out.append(SynonymSet(synset.concept_id, kept_syn, kept_prov))
+        out.append(SynonymSet(synset.concept_id, kept_syn, kept_prov, synset.name))
     return out
 
 
@@ -344,7 +351,7 @@ def load_synonym_sets(path: str) -> list[SynonymSet]:
         provenance = [str(t) for t in obj.get("provenance", [])]
         if not provenance:
             provenance = [PROVENANCE_ORIGINAL] + [PROVENANCE_PROVIDER] * (len(synonyms) - 1)
-        return SynonymSet(int(obj["concept_id"]), synonyms, provenance)
+        return SynonymSet(int(obj["concept_id"]), synonyms, provenance, str(obj.get("name", "")))
 
     sets = read_jsonl(path, "synonym set", parse)
     if not sets:
@@ -352,13 +359,13 @@ def load_synonym_sets(path: str) -> list[SynonymSet]:
     return sets
 
 
-def save_synonym_sets(sets: list[SynonymSet], concepts: ConceptSet, path: str) -> None:
+def save_synonym_sets(sets: list[SynonymSet], path: str) -> None:
     write_jsonl(
         path,
         (
             {
                 "concept_id": s.concept_id,
-                "name": concepts[s.concept_id].name,
+                "name": s.name,
                 "synonyms": s.synonyms,
                 "provenance": s.provenance,
             }

@@ -61,11 +61,11 @@ class PromptTemplateSet:
         return cls(list(BUILTIN_TEMPLATES[name]), source=name)
 
     @classmethod
-    def from_file(cls, path: str, source: str | None = None) -> "PromptTemplateSet":
+    def from_file(cls, path: str) -> "PromptTemplateSet":
         """One template per line; blank lines ignored."""
         with open(path, encoding="utf-8") as f:
             templates = [line.rstrip("\n") for line in f if line.strip()]
-        return cls(templates, source=source or str(path))
+        return cls(templates, source=str(path))
 
 
 def build_prompts(synonym: str, templates: PromptTemplateSet) -> list[str]:
@@ -210,13 +210,11 @@ def classify_batch(weights: ClassifierWeights, queries: np.ndarray) -> np.ndarra
 
 
 def chosen_synonym_report(
-    sets: list[SynonymSet],
-    synonym_counts: dict[tuple[int, str], int],
-    names: dict[int, str],
+    sets: list[SynonymSet], synonym_counts: dict[tuple[int, str], int]
 ) -> list[tuple[int, str, str, int]]:
-    """Rows (concept_id, original name, chosen synonym, count) for the report CSV."""
+    """Rows (concept_id, name, chosen synonym, count) for the report CSV."""
     rows = []
     for synset in sets:
         chosen, count = most_frequent_synonym(synset, synonym_counts)
-        rows.append((synset.concept_id, names[synset.concept_id], chosen, count))
+        rows.append((synset.concept_id, synset.name, chosen, count))
     return rows

@@ -49,7 +49,7 @@ def criterion(capsys, name: str):
 
 
 def records_of(texts):
-    return [CaptionRecord(i, t, t, 0) for i, t in enumerate(texts)]
+    return [CaptionRecord(i, t, 0) for i, t in enumerate(texts)]
 
 
 def unit_rows(rng, n, dim):
@@ -158,7 +158,7 @@ def test_02_shard_determinism(tmp_path, capsys):
 def test_03_judge_pipeline(tiger_corpus, tiger_concepts, tiger_sets, capsys):
     with criterion(capsys, "3. blocklist judging yields exact filtered counts and precision"):
         _, captions = tiger_corpus
-        records = [CaptionRecord(i, t, t, 0) for i, t in captions.items()]
+        records = [CaptionRecord(i, t, 0) for i, t in captions.items()]
         result = matcher.scan(records, matcher.compile(tiger_sets))
         judge = RuleStubJudge({"tiger": ["tiger shark"]})
         outcome = judge_hits(result.hits, tiger_concepts, captions, judge)
@@ -227,10 +227,9 @@ def test_05_prompt_reduction_and_switch(tmp_path, capsys):
         assert float(np.max(np.abs(weights.matrix - emb.data))) <= 1e-6
 
         # a synonym outcounting the original name 10:1 flips the choice
-        concepts = ConceptSet([Concept(0, "cash machine", "a bank teller machine")])
         sets = [SynonymSet(0, ["cash machine", "atm"], ["original", "provider"])]
         synsets_path = str(tmp_path / "synsets.jsonl")
-        lexicon.save_synonym_sets(sets, concepts, synsets_path)
+        lexicon.save_synonym_sets(sets, synsets_path)
         counts_path = tmp_path / "syncounts.csv"
         counts_path.write_text(
             "concept_id,synonym,raw,filtered,count_source\n"

@@ -16,7 +16,6 @@ from tally.analytics import (
     head_tail_split,
     log_bins,
     mean_per_class_accuracy,
-    sort_by_frequency,
     subset_mean_accuracy,
 )
 from tally.errors import InputError, UndefinedCorrelationError
@@ -63,11 +62,6 @@ def test_accuracy_table_validation_and_round_trip(tmp_path):
     table.to_csv(str(path))
     back = AccuracyTable.from_csv(str(path))
     assert back.accuracies == table.accuracies  # repr() round-trips floats exactly
-
-
-def test_sort_by_frequency_ties_ascending_id():
-    table = freq_of({3: 5, 1: 9, 2: 5, 0: 0})
-    assert sort_by_frequency(table) == [1, 2, 3, 0]
 
 
 # ------------------------------------------------------------------- bins

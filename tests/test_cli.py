@@ -386,6 +386,26 @@ def test_input_errors_exit_2(capsys, world):
     run_fail(capsys, ["report", "--run-dir", art(world, "no_such_run"), "--out", art(world, "r.md")], 2)
 
 
+def test_retrieve_refuses_verdicts_missing_a_hit_pair(capsys, world):
+    """retrieve applies the same verdict-consistency check as freq."""
+    run_pipeline_through_freq(capsys, world)
+    verdicts = world["dir"] / "verdicts.jsonl"
+    cut = world["dir"] / "verdicts_cut.jsonl"
+    cut.write_text("".join(verdicts.read_text().splitlines(keepends=True)[:-1]))
+    for argv in (
+        ["freq", "--hits", art(world, "hits.jsonl"), "--verdicts", str(cut),
+         "--out", art(world, "freq_cut.csv")],
+        ["retrieve", "--hits", art(world, "hits.jsonl"), "--verdicts", str(cut),
+         "--synonyms", art(world, "synsets.jsonl"),
+         "--embeddings", f"captions={world['captions_emb']}",
+         "--embeddings", f"synonyms={world['synonyms_emb']}",
+         "--k", "2", "--out", art(world, "retrieval_cut.jsonl")],
+    ):
+        err = run_fail(capsys, argv, 2)
+        assert err["error"] == "ConsistencyError"
+        assert "has no verdict" in err["message"]
+
+
 def test_bad_definitions_line_names_path_and_line(capsys, world):
     bad = world["dir"] / "definitions_bad.jsonl"
     for body in ('{"concept_id": 0, "definitions": ["x"]}\n{broken\n',

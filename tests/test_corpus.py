@@ -98,6 +98,26 @@ def test_open_corpus_normalizes_once(tmp_path):
     assert rec.norm_text == "a tiger"
 
 
+def test_open_corpus_rejects_duplicate_id(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [
+        {"id": 3, "text": "a tiger in the grass"},
+        {"id": 4, "text": "a dog"},
+        {"id": 3, "text": "a cat on a mat"},
+    ])
+    with open(path, "rb") as f:
+        first, second, _ = f.readlines()
+    offset = len(first) + len(second)
+    with pytest.raises(InputError, match=f"duplicate caption id 3 at byte {offset}"):
+        list(open_corpus(path))
+
+
+def test_shard_corpus_refuses_duplicate_id(tmp_path):
+    """Sharding reads the whole file, so a repeat in a later shard is caught too."""
+    path = write_jsonl(tmp_path / "c.jsonl", [{"id": i % 5, "text": "x"} for i in range(8)])
+    with pytest.raises(InputError, match="duplicate caption id 0"):
+        shard_corpus(path, 2)
+
+
 def test_open_corpus_rejects_negative_and_bool_ids(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(

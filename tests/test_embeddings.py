@@ -13,7 +13,6 @@ from tally.embeddings import (
     average_normalized,
     cosine,
     load_embeddings,
-    normalize_rows,
     save_embeddings,
 )
 from tally.errors import (
@@ -214,36 +213,3 @@ def test_average_normalized_permutation_invariant():
 def test_average_normalized_empty():
     with pytest.raises(InputError):
         average_normalized(np.empty((0, 3)))
-
-
-# ---------------------------------------------------------- normalization
-
-
-def test_normalize_rows():
-    mat = EmbeddingMatrix(["a", "b"], np.array([[3.0, 4.0], [0.5, 0.0]], dtype=np.float32))
-    out = normalize_rows(mat)
-    assert out.normalized
-    np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-6)
-    np.testing.assert_allclose(out.data[0], [0.6, 0.8], atol=1e-6)
-
-
-def test_normalize_rows_zero_row_named():
-    mat = EmbeddingMatrix(["ok", "zero"], np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
-    with pytest.raises(ZeroVectorError, match="zero"):
-        normalize_rows(mat)
-
-
-def test_load_with_normalize_flag(tmp_path):
-    mat = EmbeddingMatrix(["a"], np.array([[3.0, 4.0]], dtype=np.float32))
-    path = tmp_path / "m.cemb"
-    save_embeddings(mat, str(path))
-    loaded = load_embeddings(str(path), normalize=True)
-    assert loaded.normalized
-    np.testing.assert_allclose(loaded.data[0], [0.6, 0.8], atol=1e-6)
-
-
-def test_subset_preserves_order():
-    mat = make_embeddings(["a", "b", "c"], dim=3, seed=1)
-    sub = mat.subset(["c", "a"])
-    assert sub.keys == ["c", "a"]
-    np.testing.assert_array_equal(sub.vector("c"), mat.vector("c"))

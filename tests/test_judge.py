@@ -406,7 +406,6 @@ def test_validation_set_jsonl(tmp_path):
     )
     vs = ValidationSet.from_jsonl(str(path))
     assert vs.pairs == [(1, 0, True), (2, 0, False)]
-    assert vs.per_concept_target == 32
 
 
 # ------------------------------------------------------------------- http

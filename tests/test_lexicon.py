@@ -381,20 +381,31 @@ def test_filter_tie_keeps_synonym():
 
 
 def test_synonym_sets_file_round_trip(tmp_path):
-    concepts = ConceptSet([Concept(0, "Tiger"), Concept(1, "ATM")])
     sets = [
-        SynonymSet(0, ["tiger", "big cat"], ["original", "provider"]),
-        SynonymSet(1, ["atm", "cash machine"], ["original", "manual"]),
+        SynonymSet(0, ["tiger", "big cat"], ["original", "provider"], "Tiger"),
+        SynonymSet(1, ["atm", "cash machine"], ["original", "manual"], "ATM"),
     ]
     path = tmp_path / "synonyms.jsonl"
-    save_synonym_sets(sets, concepts, str(path))
-    back = load_synonym_sets(str(path))
-    assert [(s.concept_id, s.synonyms, s.provenance) for s in back] == [
-        (0, ["tiger", "big cat"], ["original", "provider"]),
-        (1, ["atm", "cash machine"], ["original", "manual"]),
-    ]
+    save_synonym_sets(sets, str(path))
+    assert load_synonym_sets(str(path)) == sets
     first = json.loads(path.read_text().splitlines()[0])
     assert first["name"] == "Tiger"
+
+
+def test_synonym_set_name_defaults_to_original(tmp_path):
+    assert SynonymSet(0, ["tiger", "big cat"], ["original", "provider"]).name == "tiger"
+    path = write_jsonl(tmp_path / "synonyms.jsonl", [{"concept_id": 0, "synonyms": ["tiger"]}])
+    assert load_synonym_sets(path)[0].name == "tiger"
+
+
+def test_expand_and_filter_carry_the_concept_name():
+    provider = FixtureSynonymProvider({"Big Tiger": ["panthera tigris"]})
+    synset = expand_synonyms(Concept(0, "Big Tiger"), provider)
+    assert synset.name == "Big Tiger"
+    names = EmbeddingMatrix(["big tiger"], np.array([[1.0, 0.0]], dtype=np.float32))
+    syns = EmbeddingMatrix(["panthera tigris"], np.array([[1.0, 0.1]], dtype=np.float32))
+    (kept,) = filter_synonyms([synset], ConceptSet([Concept(0, "Big Tiger")]), names, syns)
+    assert kept.name == "Big Tiger"
 
 
 def test_load_synonym_sets_empty_file(tmp_path):

@@ -33,7 +33,7 @@ from tally.matcher import (
 
 def records_of(texts):
     """In-memory records from already-normalized strings."""
-    return [CaptionRecord(i, t, t, 0) for i, t in enumerate(texts)]
+    return [CaptionRecord(i, t, 0) for i, t in enumerate(texts)]
 
 
 def hit_tuples(hits):
@@ -233,9 +233,10 @@ def test_whole_word_scan_matches_oracle_on_adversarial_captions():
     assert count_captions(result.hits)[1] == brute_force_synonym_counts(oracle)
 
 
-def _loaded_by_cli_import(module: str) -> bool:
+def _modules_loaded_by(module: str) -> set[str]:
+    """The names in sys.modules after a fresh interpreter runs `import module`."""
     src_dir = os.path.dirname(os.path.dirname(tally.__file__))
-    code = f"import sys, tally.cli; print({module!r} in sys.modules)"
+    code = f"import sys, {module}; print(chr(10).join(sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src_dir},
@@ -244,17 +245,24 @@ def _loaded_by_cli_import(module: str) -> bool:
         check=True,
         timeout=60,
     )
-    return out.stdout.strip() == "True"
+    return set(out.stdout.split())
 
 
 def test_import_cli_does_not_load_scipy():
     """Only `tally analyze` correlates, so only it pays for scipy's import."""
-    assert not _loaded_by_cli_import("scipy")
+    assert "scipy" not in _modules_loaded_by("tally.cli")
 
 
 def test_import_cli_does_not_load_requests():
     """Only the HTTP provider and judge use requests; offline stages skip it."""
-    assert not _loaded_by_cli_import("requests")
+    assert "requests" not in _modules_loaded_by("tally.cli")
+
+
+def test_import_tally_loads_no_submodule():
+    """Every name has one import path, its module; the package root re-exports none."""
+    loaded = _modules_loaded_by("tally")
+    assert "numpy" not in loaded
+    assert sorted(m for m in loaded if m.startswith("tally.")) == []
 
 
 # -------------------------------------------------- randomized oracle

@@ -90,12 +90,12 @@ def test_most_frequent_synonym_ignores_other_concepts():
 
 def test_chosen_synonym_report_rows():
     sets = [
-        SynonymSet(0, ["cash machine", "atm"], ["original", "provider"]),
+        SynonymSet(0, ["cash machine", "atm"], ["original", "provider"], "Cash Machine"),
         SynonymSet(1, ["tiger"], ["original"]),
     ]
     counts = {(0, "atm"): 10, (0, "cash machine"): 1, (1, "tiger"): 5}
-    rows = chosen_synonym_report(sets, counts, {0: "cash machine", 1: "tiger"})
-    assert rows == [(0, "cash machine", "atm", 10), (1, "tiger", "tiger", 5)]
+    rows = chosen_synonym_report(sets, counts)
+    assert rows == [(0, "Cash Machine", "atm", 10), (1, "tiger", "tiger", 5)]
 
 
 # ---------------------------------------------------------------- weights
