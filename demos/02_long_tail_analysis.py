@@ -30,7 +30,7 @@ def main() -> None:
     acc = np.clip(acc + rng.normal(0.0, 0.03, N_CONCEPTS), 0.0, 1.0)
 
     freq = FrequencyTable({i: (int(counts[i]), int(counts[i])) for i in range(N_CONCEPTS)})
-    table = AccuracyTable({i: float(acc[i]) for i in range(N_CONCEPTS)}, model_id="sim")
+    table = AccuracyTable({i: float(acc[i]) for i in range(N_CONCEPTS)})
 
     print(f"{N_CONCEPTS} concepts, counts from {counts.min()} to {counts.max()}\n")
 
@@ -42,8 +42,8 @@ def main() -> None:
         print(f"  {b.bin:3d}   [{lo:5d}, {hi:5d}]   {b.count:8d}  {b.mean_accuracy:12.3f}")
 
     head, tail = head_tail_split(freq, tail_fraction=0.2)
-    head_acc = float(np.mean([table.accuracies[i] for i in head]))
-    tail_acc = float(np.mean([table.accuracies[i] for i in tail]))
+    head_acc = table.mean(head)
+    tail_acc = table.mean(tail)
     print(f"\nhead: {len(head)} concepts, mean accuracy {head_acc:.3f}")
     print(f"tail: {len(tail)} concepts, mean accuracy {tail_acc:.3f}")
     print(f"the {len(tail)} rarest concepts lag by {head_acc - tail_acc:.3f}")

@@ -94,7 +94,7 @@ def main() -> None:
 
     queries = concept_queries(sets, synonyms)
     retrieved = retrieve_balanced(hits, captions, queries, k=K)
-    print(f"retrieved top-{K} per concept; shortfalls: {retrieved.shortfall or 'none'}")
+    print(f"retrieved top-{K} per concept; shortfalls: {retrieved.shortfall(K) or 'none'}")
 
     image_x, image_y = [], []
     for cid, rows in sorted(retrieved.ranked.items()):
@@ -123,9 +123,8 @@ def main() -> None:
     results = {}
     for weights in (zeroshot, combined):
         mpca, table = evaluate(weights, test_x, test_gold)
-        by_class = table.accuracies
-        head_acc = float(np.mean([by_class[c] for c in head]))
-        tail_acc = float(np.mean([by_class[c] for c in tail]))
+        head_acc = table.mean(head)
+        tail_acc = table.mean(tail)
         results[weights.role] = (mpca, head_acc, tail_acc)
         print(f"{weights.role:<12} {mpca:>7.3f} {head_acc:>7.3f} {tail_acc:>7.3f}")
 

@@ -9,6 +9,7 @@ by ascending concept_id so repeated runs produce identical artifacts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,6 @@ class FrequencyTable:
                     f"concept {cid}: filtered count {filtered} exceeds raw count {raw}"
                 )
 
-    @property
-    def ids(self) -> list[int]:
-        return list(self.counts)
-
     def raw(self, concept_id: int) -> int:
         return self.counts[concept_id][0]
 
@@ -54,15 +51,9 @@ class FrequencyTable:
 
     @classmethod
     def from_csv(cls, path: str) -> "FrequencyTable":
-        rows = read_csv(
-            path,
-            ("concept_id", "raw", "filtered"),
-            "frequency row",
-            lambda r: (int(r["concept_id"]), (int(r["raw"]), int(r["filtered"]))),
-        )
-        if not rows:
-            raise InputError(f"{path}: empty frequency table")
-        return cls(dict(rows))
+        return cls(_read_concept_csv(
+            path, "frequency", ("raw", "filtered"), lambda r: (int(r["raw"]), int(r["filtered"]))
+        ))
 
 
 @dataclass
@@ -70,12 +61,21 @@ class AccuracyTable:
     """Per-concept accuracy in [0, 1] for one model."""
 
     accuracies: dict[int, float]
-    model_id: str = ""
 
     def __post_init__(self):
         for cid, acc in self.accuracies.items():
             if not (0.0 <= acc <= 1.0):
                 raise InputError(f"concept {cid}: accuracy {acc} outside [0, 1]")
+
+    def mean(self, concept_ids: list[int] | None = None) -> float:
+        """Unweighted mean accuracy over every class, or over a subset (e.g. head or tail)."""
+        ids = list(self.accuracies) if concept_ids is None else concept_ids
+        if not ids:
+            raise InputError("empty concept subset")
+        missing = [cid for cid in ids if cid not in self.accuracies]
+        if missing:
+            raise InputError(f"accuracy table missing concepts: {missing[:5]}")
+        return sum(self.accuracies[cid] for cid in ids) / len(ids)
 
     def to_csv(self, path: str) -> None:
         write_csv(
@@ -85,16 +85,27 @@ class AccuracyTable:
         )
 
     @classmethod
-    def from_csv(cls, path: str, model_id: str = "") -> "AccuracyTable":
-        rows = read_csv(
-            path,
-            ("concept_id", "accuracy"),
-            "accuracy row",
-            lambda r: (int(r["concept_id"]), float(r["accuracy"])),
-        )
-        if not rows:
-            raise InputError(f"{path}: empty accuracy table")
-        return cls(dict(rows), model_id=model_id)
+    def from_csv(cls, path: str) -> "AccuracyTable":
+        return cls(_read_concept_csv(
+            path, "accuracy", ("accuracy",), lambda r: float(r["accuracy"])
+        ))
+
+
+def _read_concept_csv(path: str, kind: str, columns: tuple[str, ...], value) -> dict:
+    """{concept_id: value(row)} in file order. A repeated concept_id would
+    replace the earlier row, so it is an error naming path:lineno."""
+    out: dict = {}
+
+    def parse(row):
+        cid = int(row["concept_id"])
+        if cid in out:
+            raise ValueError(f"duplicate concept_id {cid}")
+        out[cid] = value(row)
+
+    read_csv(path, ("concept_id", *columns), f"{kind} row", parse)
+    if not out:
+        raise InputError(f"{path}: empty {kind} table")
+    return out
 
 
 def _bin_index(n: int, base: float) -> int:
@@ -128,15 +139,14 @@ def log_bins(freq: FrequencyTable, acc: AccuracyTable, base: float = 10.0) -> li
     if base <= 1.0:
         raise InputError(f"log base must exceed 1, got {base}")
     _check_same_ids(freq, acc)
-    members: dict[int, list[float]] = {}
+    members: dict[int, list[int]] = {}
     for cid in freq.counts:
         b = _bin_index(freq.filtered(cid), base)
-        members.setdefault(b, []).append(acc.accuracies[cid])
+        members.setdefault(b, []).append(cid)
     out = []
     for b in sorted(members):
-        accs = members[b]
         lower = 0.0 if b == ZERO_BIN else float(base**b)
-        out.append(LogBin(b, lower, sum(accs) / len(accs), len(accs)))
+        out.append(LogBin(b, lower, acc.mean(members[b]), len(members[b])))
     return out
 
 
@@ -168,22 +178,33 @@ def correlate(freq: FrequencyTable, acc: AccuracyTable, method: str = "pearson")
         raise InputError(f"need at least 3 concepts to correlate, got {len(ids)}")
     counts = np.array([freq.filtered(cid) for cid in ids], dtype=np.float64)
     accs = np.array([acc.accuracies[cid] for cid in ids], dtype=np.float64)
-    if method == "pearson":
-        x = np.log1p(counts)
-        y = accs
-    elif method == "spearman":
-        x, y = counts, accs
-    else:
+    if method not in ("pearson", "spearman"):
         raise InputError(f"unknown correlation method {method!r}")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    if np.ptp(counts) == 0.0 or np.ptp(accs) == 0.0:
         raise UndefinedCorrelationError(f"{method}: an input has zero variance")
-    # Imported here: scipy.stats costs most of the package's import time,
-    # and only `tally analyze` correlates.
-    import scipy.stats
-
     if method == "pearson":
-        return float(scipy.stats.pearsonr(x, y).statistic)
-    return float(scipy.stats.spearmanr(x, y).statistic)
+        r = np.dot(_unit_deviations(np.log1p(counts)), _unit_deviations(accs))
+        return float(np.clip(r, -1.0, 1.0))  # rounding can land just past ±1
+    return float(np.corrcoef(_average_ranks(counts), _average_ranks(accs))[1, 0])
+
+
+def _unit_deviations(values: np.ndarray) -> np.ndarray:
+    """Deviations from the mean, scaled to unit length. They are divided by
+    the largest deviation before the norm is taken, so it cannot overflow."""
+    dev = values - values.mean()
+    top = np.max(np.abs(dev))
+    return dev / (top * np.linalg.norm(dev / top, axis=-1))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def _check_same_ids(freq: FrequencyTable, acc: AccuracyTable) -> None:
@@ -199,7 +220,6 @@ def _check_same_ids(freq: FrequencyTable, acc: AccuracyTable) -> None:
 def mean_per_class_accuracy(
     predictions: list[tuple[int, int]],
     concepts: list[int] | None = None,
-    model_id: str = "",
 ) -> tuple[float, AccuracyTable]:
     """Unweighted mean of per-class accuracies from (gold, predicted) pairs.
 
@@ -210,11 +230,8 @@ def mean_per_class_accuracy(
     """
     if not predictions:
         raise InputError("no predictions to score")
-    totals: dict[int, int] = {}
-    correct: dict[int, int] = {}
-    for gold, pred in predictions:
-        totals[gold] = totals.get(gold, 0) + 1
-        correct[gold] = correct.get(gold, 0) + (1 if pred == gold else 0)
+    totals = Counter(gold for gold, _ in predictions)
+    correct = Counter(gold for gold, pred in predictions if pred == gold)
     if concepts is not None:
         missing = [cid for cid in concepts if cid not in totals]
         if missing:
@@ -222,16 +239,5 @@ def mean_per_class_accuracy(
         extra = [cid for cid in totals if cid not in set(concepts)]
         if extra:
             raise InputError(f"gold labels outside the concept set: {sorted(extra)}")
-    accs = {cid: correct[cid] / totals[cid] for cid in totals}
-    table = AccuracyTable(accs, model_id=model_id)
-    return sum(accs.values()) / len(accs), table
-
-
-def subset_mean_accuracy(acc: AccuracyTable, concept_ids: list[int]) -> float:
-    """Unweighted mean accuracy over a subset of classes (e.g. head or tail)."""
-    if not concept_ids:
-        raise InputError("empty concept subset")
-    missing = [cid for cid in concept_ids if cid not in acc.accuracies]
-    if missing:
-        raise InputError(f"accuracy table missing concepts: {missing[:5]}")
-    return sum(acc.accuracies[cid] for cid in concept_ids) / len(concept_ids)
+    table = AccuracyTable({cid: correct[cid] / totals[cid] for cid in totals})
+    return table.mean(), table

@@ -296,9 +296,7 @@ def cmd_analyze(args) -> dict:
         ([cid, "tail" if cid in tail_ids else "head"] for cid in sorted(freq.counts)),
     )
 
-    correlations = {}
-    for method in ("pearson", "spearman"):
-        correlations[method] = analytics.correlate(freq, acc, method)
+    correlations = {m: analytics.correlate(freq, acc, m) for m in ("pearson", "spearman")}
     write_csv(
         os.path.join(args.out_dir, "correlation.csv"),
         ["method", "value", "n"],
@@ -345,7 +343,7 @@ def cmd_prompt(args) -> dict:
     weights.save(args.out)
     if args.report:
         write_csv(args.report, ["concept_id", "name", "chosen", "count"], chosen_rows)
-    switched = sum(1 for cid, name, chosen, _ in chosen_rows if chosen != lexicon.normalize_text(name))
+    switched = sum(1 for _, name, chosen, _ in chosen_rows if _switched(name, chosen))
     return {
         "command": "prompt",
         "concepts": len(sets),
@@ -355,6 +353,11 @@ def cmd_prompt(args) -> dict:
         "out": args.out,
         "report": args.report,
     }
+
+
+def _switched(name: str, chosen: str) -> bool:
+    """Whether the prompt names a concept by a synonym instead of its name."""
+    return chosen != lexicon.normalize_text(name)
 
 
 def _load_syn_counts(path: str) -> tuple[dict[tuple[int, str], int], str]:
@@ -399,7 +402,7 @@ def cmd_retrieve(args) -> dict:
         "query": args.query,
         "concepts": len(result.ranked),
         "rows": sum(len(v) for v in result.ranked.values()),
-        "shortfall_concepts": len(result.shortfall),
+        "shortfall_concepts": len(result.shortfall(args.k)),
         "out": args.out,
         "shortfall_out": args.shortfall_out,
     }
@@ -415,6 +418,9 @@ def cmd_train(args) -> dict:
     images = _require_embedding(embs, "images")
 
     row_of = {cid: i for i, cid in enumerate(init.concept_ids)}
+    unknown = sorted(set(retrieval.ranked) - set(row_of))
+    if unknown:
+        raise InputError(f"retrieved rows for concepts not in --init: {unknown[:5]}")
     feats = []
     labels = []
     for cid in init.concept_ids:
@@ -475,12 +481,11 @@ def cmd_eval(args) -> dict:
         raise InputError(f"{args.labels}: no labeled examples")
     ids, gold = zip(*labels)
     feats = np.stack([images.vector(i) for i in ids])
-    model_id = args.model_id or weights.role
-    mpca, table = reallinear.evaluate(weights, feats, gold, model_id=model_id)
+    mpca, table = reallinear.evaluate(weights, feats, gold)
     table.to_csv(args.out)
     return {
         "command": "eval",
-        "model_id": model_id,
+        "model_id": args.model_id or weights.role,
         "examples": len(ids),
         "classes": len(table.accuracies),
         "mean_per_class_accuracy": mpca,
@@ -489,6 +494,12 @@ def cmd_eval(args) -> dict:
 
 
 # ------------------------------------------------------------------ report
+
+
+def _md_table(header: list[str], rows) -> list[str]:
+    """Markdown table lines: the header, its rule, then one line per row."""
+    lines = ["| " + " | ".join(map(str, cells)) + " |" for cells in [header, *rows]]
+    return [lines[0], "|" + "---|" * len(header), *lines[1:]]
 
 
 def cmd_report(args) -> dict:
@@ -507,7 +518,6 @@ def cmd_report(args) -> dict:
         lambda r: (int(r["concept_id"]), r.get("name", ""), int(r["raw"]), int(r["filtered"])),
     )
     freq_rows.sort(key=lambda r: (-r[3], r[0]))
-    freq_header = ["| rank | concept_id | name | raw | filtered |", "|---|---|---|---|---|"]
     lines += [
         "## Concept frequency",
         "",
@@ -515,33 +525,27 @@ def cmd_report(args) -> dict:
         f"- raw matched captions (sum over concepts): {sum(r[2] for r in freq_rows)}",
         f"- filtered matched captions (sum over concepts): {sum(r[3] for r in freq_rows)}",
         "",
-        *freq_header,
     ]
-
-    def ranked(first_rank, rows):
-        return [
-            f"| {rank} | {cid} | {name} | {raw} | {filtered} |"
-            for rank, (cid, name, raw, filtered) in enumerate(rows, first_rank)
-        ]
-
-    if len(freq_rows) > 20:
-        lines += ranked(1, freq_rows[:10])
-        lines += ["", "Least frequent:", "", *freq_header]
-        lines += ranked(len(freq_rows) - 9, freq_rows[-10:])
+    freq_header = ["rank", "concept_id", "name", "raw", "filtered"]
+    ranked = [(rank, *r) for rank, r in enumerate(freq_rows, 1)]
+    if len(ranked) > 20:
+        lines += _md_table(freq_header, ranked[:10])
+        lines += ["", "Least frequent:", "", *_md_table(freq_header, ranked[-10:])]
     else:
-        lines += ranked(1, freq_rows)
+        lines += _md_table(freq_header, ranked)
     lines.append("")
     sections.append("frequency")
 
     bins_path = os.path.join(run, "bins.csv")
     if os.path.exists(bins_path):
-        lines += ["## Frequency bins (log scale)", "", "| bin | mean accuracy | concepts |", "|---|---|---|"]
-        lines += read_csv(
+        rows = read_csv(
             bins_path,
             ("bin", "mean_acc", "count"),
             "bin row",
-            lambda r: f"| {r['bin']} | {float(r['mean_acc']):.6f} | {r['count']} |",
+            lambda r: (r["bin"], f"{float(r['mean_acc']):.6f}", r["count"]),
         )
+        lines += ["## Frequency bins (log scale)", ""]
+        lines += _md_table(["bin", "mean accuracy", "concepts"], rows)
         lines.append("")
         sections.append("bins")
 
@@ -566,20 +570,22 @@ def cmd_report(args) -> dict:
 
     corr_path = os.path.join(run, "correlation.csv")
     if os.path.exists(corr_path):
-        lines += ["## Frequency–accuracy correlation", "", "| method | value | n |", "|---|---|---|"]
-        lines += read_csv(
+        rows = read_csv(
             corr_path,
             ("method", "value", "n"),
             "correlation row",
-            lambda r: f"| {r['method']} | {float(r['value']):.6f} | {r['n']} |",
+            lambda r: (r["method"], f"{float(r['value']):.6f}", r["n"]),
         )
+        lines += ["## Frequency–accuracy correlation", ""]
+        lines += _md_table(["method", "value", "n"], rows)
         lines.append("")
         sections.append("correlation")
 
     chosen_path = os.path.join(run, "chosen.csv")
     if os.path.exists(chosen_path):
-        rows = read_csv(chosen_path, ("concept_id", "name", "chosen", "count"), "chosen row", dict)
-        switched = [r for r in rows if r["chosen"] != lexicon.normalize_text(r["name"])]
+        columns = ["concept_id", "name", "chosen", "count"]
+        rows = read_csv(chosen_path, columns, "chosen row", lambda r: [r[c] for c in columns])
+        switched = [r for r in rows if _switched(r[1], r[2])]
         lines += [
             "## Chosen synonyms",
             "",
@@ -588,45 +594,34 @@ def cmd_report(args) -> dict:
             "",
         ]
         if switched:
-            lines += ["| concept_id | name | chosen | count |", "|---|---|---|---|"]
-            for r in switched:
-                lines.append(f"| {r['concept_id']} | {r['name']} | {r['chosen']} | {r['count']} |")
+            lines += _md_table(columns, switched)
             lines.append("")
         sections.append("chosen")
 
     acc_files = sorted(n for n in os.listdir(run) if n.startswith("acc") and n.endswith(".csv"))
     if acc_files:
-        header = "| model | mean per-class acc |"
-        rule = "|---|---|"
-        if split_of:
-            header += " head acc | tail acc |"
-            rule += "---|---|"
-        lines += ["## Accuracy", "", header, rule]
-
-        def means(acc: AccuracyTable) -> list[float | None]:
-            """Mean accuracy, then the head and tail means (None when either is empty)."""
-            out = [sum(acc.accuracies.values()) / len(acc.accuracies)]
+        header = ["model", "mean per-class acc"] + (["head acc", "tail acc"] if split_of else [])
+        stats = []  # (model, [mean, head mean, tail mean]); None when head or tail is empty
+        for name in acc_files:
+            acc = AccuracyTable.from_csv(os.path.join(run, name))
+            values = [acc.mean()]
             if split_of:
                 head = [cid for cid in acc.accuracies if split_of.get(cid) == "head"]
                 tail = [cid for cid in acc.accuracies if split_of.get(cid) == "tail"]
-                if head and tail:
-                    out += [analytics.subset_mean_accuracy(acc, ids) for ids in (head, tail)]
-                else:
-                    out += [None, None]
-            return out
+                values += [acc.mean(head), acc.mean(tail)] if head and tail else [None, None]
+            stats.append((name[:-4], values))
 
-        def row(label: str, values: list[float | None], fmt: str) -> str:
-            cells = ["n/a" if v is None else f"{v:{fmt}}" for v in values]
-            return f"| {label} | " + " | ".join(cells) + " |"
+        def cells(label: str, values: list[float | None], fmt: str) -> list[str]:
+            return [label, *("n/a" if v is None else f"{v:{fmt}}" for v in values)]
 
-        stats = [(n[:-4], means(AccuracyTable.from_csv(os.path.join(run, n)))) for n in acc_files]
-        lines += [row(label, values, ".6f") for label, values in stats]
+        lines += ["## Accuracy", "", *_md_table(header, [cells(m, v, ".6f") for m, v in stats])]
         if len(stats) > 1:
             base_label, base = stats[0]
-            lines += ["", f"Deltas vs `{base_label}`:", "", header, rule]
+            deltas = []
             for label, values in stats[1:]:
-                deltas = [None if v is None or b is None else v - b for v, b in zip(values, base)]
-                lines.append(row(label, deltas, "+.6f"))
+                diff = [None if v is None or b is None else v - b for v, b in zip(values, base)]
+                deltas.append(cells(label, diff, "+.6f"))
+            lines += ["", f"Deltas vs `{base_label}`:", "", *_md_table(header, deltas)]
         lines.append("")
         sections.append("accuracy")
 

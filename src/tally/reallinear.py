@@ -34,20 +34,14 @@ TRAIN_MODES = ("cross_modal", "image_only")
 
 @dataclass
 class RetrievalSet:
-    """Per-concept ranked caption ids with scores; shortfalls made explicit."""
+    """Per-concept ranked caption ids with scores. The file stores no K, so
+    a shortfall is measured against the K the caller retrieved with."""
 
-    k: int
     ranked: dict[int, list[tuple[int, float]]]  # concept_id -> [(caption_id, score)]
 
-    def __post_init__(self):
-        for cid, rows in self.ranked.items():
-            if len(rows) > self.k:
-                raise InputError(f"concept {cid}: {len(rows)} retrieved rows exceed K={self.k}")
-
-    @property
-    def shortfall(self) -> dict[int, int]:
+    def shortfall(self, k: int) -> dict[int, int]:
         """Concepts that could not fill K, with how many rows are missing."""
-        return {cid: self.k - len(rows) for cid, rows in self.ranked.items() if len(rows) < self.k}
+        return {cid: k - len(rows) for cid, rows in self.ranked.items() if len(rows) < k}
 
     def to_jsonl(self, path: str) -> None:
         write_jsonl(
@@ -60,7 +54,7 @@ class RetrievalSet:
         )
 
     @classmethod
-    def from_jsonl(cls, path: str, k: int | None = None) -> "RetrievalSet":
+    def from_jsonl(cls, path: str) -> "RetrievalSet":
         ranked: dict[int, list[tuple[int, int, float]]] = {}
         rows = read_jsonl(
             path,
@@ -80,9 +74,7 @@ class RetrievalSet:
             if [r for r, _, _ in rows] != list(range(len(rows))):
                 raise InputError(f"concept {cid}: ranks are not contiguous from 0")
             out[cid] = [(caption_id, score) for _, caption_id, score in rows]
-        if k is None:
-            k = max(len(rows) for rows in out.values())
-        return cls(k=k, ranked=out)
+        return cls(out)
 
 
 def concept_queries(
@@ -148,8 +140,8 @@ def retrieve_balanced(
         scores = (mat @ queries[cid]) / (norms * float(np.linalg.norm(queries[cid])))
         order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
         ranked[cid] = [(ids[i], float(scores[i])) for i in order]
-    result = RetrievalSet(k=k, ranked=ranked)
-    for cid, missing in sorted(result.shortfall.items()):
+    result = RetrievalSet(ranked)
+    for cid, missing in sorted(result.shortfall(k).items()):
         logger.info("concept %d: retrieved %d of K=%d", cid, k - missing, k)
     return result
 
@@ -355,7 +347,6 @@ def evaluate(
     weights: ClassifierWeights,
     image_features: np.ndarray,
     gold_concept_ids: list[int],
-    model_id: str = "",
 ) -> tuple[float, AccuracyTable]:
     """Mean per-class accuracy of the classifier on labeled image features."""
     from .realprompt import classify_batch
@@ -365,6 +356,4 @@ def evaluate(
         raise InputError("image features and gold labels disagree in length")
     preds = classify_batch(weights, image_features)
     pairs = list(zip([int(g) for g in gold_concept_ids], [int(p) for p in preds]))
-    return mean_per_class_accuracy(
-        pairs, concepts=list(weights.concept_ids), model_id=model_id or weights.role
-    )
+    return mean_per_class_accuracy(pairs, concepts=list(weights.concept_ids))

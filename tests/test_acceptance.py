@@ -199,7 +199,7 @@ def test_04_longtail_analytics(capsys):
         acc = np.clip(acc + rng.normal(0.0, 0.02, n_concepts), 0.0, 1.0)
 
         freq = FrequencyTable({i: (int(counts[i]), int(counts[i])) for i in range(n_concepts)})
-        table = AccuracyTable({i: float(acc[i]) for i in range(n_concepts)}, model_id="sim")
+        table = AccuracyTable({i: float(acc[i]) for i in range(n_concepts)})
 
         head, tail = analytics.head_tail_split(freq, tail_fraction=0.2)
         assert (len(head), len(tail)) == (800, 200)
@@ -335,7 +335,7 @@ def test_07_retrieval_oracle(capsys):
         result = reallinear.retrieve_balanced(hits, emb, queries, k=k)
         for concept, pool in pools.items():
             assert len(result.ranked[concept]) == len(pool)
-        assert result.shortfall == {
+        assert result.shortfall(k) == {
             concept: k - len(pool) for concept, pool in pools.items() if len(pool) < k
         }
 

@@ -1,6 +1,7 @@
 """Frequency/accuracy tables, log binning, head/tail splits, correlations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from tally.analytics import (
     head_tail_split,
     log_bins,
     mean_per_class_accuracy,
-    subset_mean_accuracy,
 )
 from tally.errors import InputError, UndefinedCorrelationError
 
@@ -62,6 +62,18 @@ def test_accuracy_table_validation_and_round_trip(tmp_path):
     table.to_csv(str(path))
     back = AccuracyTable.from_csv(str(path))
     assert back.accuracies == table.accuracies  # repr() round-trips floats exactly
+
+
+def test_repeated_concept_id_is_refused(tmp_path):
+    """A second row for a concept must not silently replace the first."""
+    freq = tmp_path / "freq.csv"
+    freq.write_text("concept_id,name,raw,filtered\n3,tiger,10,9\n3,tiger,1,0\n")
+    with pytest.raises(InputError, match=re.escape(f"{freq}:3: ") + ".*duplicate concept_id 3"):
+        FrequencyTable.from_csv(str(freq))
+    acc = tmp_path / "acc.csv"
+    acc.write_text("concept_id,accuracy\n3,0.5\n4,0.2\n3,0.1\n")
+    with pytest.raises(InputError, match=re.escape(f"{acc}:4: ") + ".*duplicate concept_id 3"):
+        AccuracyTable.from_csv(str(acc))
 
 
 # ------------------------------------------------------------------- bins
@@ -232,6 +244,23 @@ def test_correlate_errors():
         correlate(freq_of({0: 1, 1: 2, 2: 3}), AccuracyTable({0: 0.1, 1: 0.2, 9: 0.3}))
 
 
+def test_correlate_equals_scipy_exactly():
+    """Both statistics are bit-identical to scipy's on inputs with heavy ties."""
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(3, 400))
+        counts = rng.integers(0, int(rng.choice([3, 20, 10**6])), size=n)
+        accs = np.round(rng.uniform(0, 1, size=n), int(rng.choice([1, 2, 17])))
+        if np.ptp(counts) == 0 or np.ptp(accs) == 0:
+            continue
+        freq = freq_of(dict(enumerate(counts.tolist())))
+        table = AccuracyTable(dict(enumerate(accs.tolist())))
+        x = counts.astype(np.float64)
+        assert correlate(freq, table, "pearson") == float(stats.pearsonr(np.log1p(x), accs).statistic)
+        assert correlate(freq, table, "spearman") == float(stats.spearmanr(x, accs).statistic)
+
+
 def test_average_ranks_oracle_self_check():
     assert average_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
 
@@ -269,10 +298,14 @@ def test_mean_per_class_empty():
         mean_per_class_accuracy([])
 
 
-def test_subset_mean_accuracy():
-    table = AccuracyTable({0: 0.2, 1: 0.4, 2: 0.9})
-    assert subset_mean_accuracy(table, [0, 1]) == pytest.approx(0.3)
+def test_accuracy_table_mean():
+    table = AccuracyTable({2: 0.9, 0: 0.2, 1: 0.4})
+    assert table.mean([0, 1]) == pytest.approx(0.3)
+    # every class, summed in table order, so the float is the one a plain sum gives
+    assert table.mean() == (0.9 + 0.2 + 0.4) / 3
     with pytest.raises(InputError, match="missing"):
-        subset_mean_accuracy(table, [7])
+        table.mean([7])
     with pytest.raises(InputError, match="empty"):
-        subset_mean_accuracy(table, [])
+        table.mean([])
+    with pytest.raises(InputError, match="empty"):
+        AccuracyTable({}).mean()

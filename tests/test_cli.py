@@ -1,7 +1,11 @@
 """End-to-end CLI pipeline, exit codes, and byte-stable outputs."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +457,16 @@ def test_non_integer_counts_name_path_and_line(capsys, world):
     assert f"{syn}:2: bad synonym count row" in err["message"]
 
 
+def test_analyze_refuses_a_repeated_concept_id(capsys, world):
+    freq = world["dir"] / "freq_dup.csv"
+    freq.write_text("concept_id,name,raw,filtered\n0,tiger,10,9\n1,cat,4,4\n0,tiger,1,0\n2,atm,2,2\n")
+    err = run_fail(capsys, [
+        "analyze", "--freq", str(freq), "--acc", world["acc"], "--out-dir", art(world, "an"),
+    ], 2)
+    assert err["error"] == "InputError"
+    assert f"{freq}:4: bad frequency row: duplicate concept_id 0" in err["message"]
+
+
 def test_report_names_missing_artifact(capsys, world):
     (world["dir"] / "empty_run").mkdir()
     err = run_fail(capsys, [
@@ -470,15 +484,33 @@ def test_provider_failure_exits_3(capsys, world, http_provider):
     assert err["error"] == "ProviderError"
 
 
-def test_divergence_exits_4(capsys, world, monkeypatch, tmp_path):
+def save_two_concept_init(path):
     zs = ClassifierWeights(
         "W_zs", [0, 1],
         (lambda m: (m / np.linalg.norm(m, axis=1, keepdims=True)).astype(np.float32))(
             np.random.default_rng(0).standard_normal((2, 8))
         ),
     )
-    zs.save(str(tmp_path / "init.bin"))
-    RetrievalSet(1, {0: [(0, 0.9)], 1: [(4, 0.8)]}).to_jsonl(str(tmp_path / "retrieval.jsonl"))
+    zs.save(str(path))
+
+
+def test_train_refuses_retrieved_concepts_missing_from_init(capsys, world, tmp_path):
+    save_two_concept_init(tmp_path / "init.bin")
+    RetrievalSet({0: [(0, 0.9)], 7: [(1, 0.8), (2, 0.7)]}).to_jsonl(str(tmp_path / "retrieval.jsonl"))
+    err = run_fail(capsys, [
+        "train", "--retrieval", str(tmp_path / "retrieval.jsonl"),
+        "--init", str(tmp_path / "init.bin"), "--mode", "image_only",
+        "--embeddings", f"images={world['images_emb']}",
+        "--out", str(tmp_path / "w.bin"),
+    ], 2)
+    assert err["error"] == "InputError"
+    assert "not in --init: [7]" in err["message"]
+    assert not (tmp_path / "w.bin").exists()
+
+
+def test_divergence_exits_4(capsys, world, monkeypatch, tmp_path):
+    save_two_concept_init(tmp_path / "init.bin")
+    RetrievalSet({0: [(0, 0.9)], 1: [(4, 0.8)]}).to_jsonl(str(tmp_path / "retrieval.jsonl"))
 
     def explode(*args, **kwargs):
         raise DivergenceError(step=3, epoch=1)
@@ -491,6 +523,20 @@ def test_divergence_exits_4(capsys, world, monkeypatch, tmp_path):
         "--out", str(tmp_path / "w.bin"),
     ], 4)
     assert err["error"] == "DivergenceError"
+
+
+def test_benchmark_tracer_finds_every_wrapped_name():
+    """perfbench/tracing.py wraps the functions the CLI calls by name, so a
+    deleted or renamed one fails here rather than in the slow benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer('t'))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 # ------------------------------------------------------------------ caches

@@ -233,10 +233,11 @@ def test_whole_word_scan_matches_oracle_on_adversarial_captions():
     assert count_captions(result.hits)[1] == brute_force_synonym_counts(oracle)
 
 
-def _modules_loaded_by(module: str) -> set[str]:
-    """The names in sys.modules after a fresh interpreter runs `import module`."""
+def _modules_loaded_by(module: str, then: str = "") -> set[str]:
+    """The names in sys.modules after a fresh interpreter runs `import module`
+    and then the statement `then`."""
     src_dir = os.path.dirname(os.path.dirname(tally.__file__))
-    code = f"import sys, {module}; print(chr(10).join(sys.modules))"
+    code = f"import sys, {module}\n{then}\nprint(chr(10).join(sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src_dir},
@@ -248,9 +249,17 @@ def _modules_loaded_by(module: str) -> set[str]:
     return set(out.stdout.split())
 
 
-def test_import_cli_does_not_load_scipy():
-    """Only `tally analyze` correlates, so only it pays for scipy's import."""
+def test_import_cli_does_not_load_scipy(tmp_path):
+    """The statistics are numpy alone: neither importing the CLI nor running
+    `tally analyze`, which correlates, loads scipy."""
     assert "scipy" not in _modules_loaded_by("tally.cli")
+    freq, acc = tmp_path / "freq.csv", tmp_path / "acc.csv"
+    freq.write_text("concept_id,raw,filtered\n0,1,1\n1,5,4\n2,50,40\n3,9,9\n")
+    acc.write_text("concept_id,accuracy\n0,0.1\n1,0.4\n2,0.9\n3,0.5\n")
+    argv = ["analyze", "--freq", str(freq), "--acc", str(acc), "--out-dir", str(tmp_path / "an")]
+    loaded = _modules_loaded_by("tally.cli", f"assert tally.cli.main({argv!r}) == 0")
+    assert (tmp_path / "an" / "correlation.csv").exists()
+    assert "scipy" not in loaded
 
 
 def test_import_cli_does_not_load_requests():
