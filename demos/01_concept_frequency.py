@@ -61,7 +61,7 @@ def main() -> None:
     judge = RuleStubJudge({"tiger": ["tiger shark"]})
     captions_by_id = {r.id: r.norm_text for r in records}
     outcome = judge_hits(result.hits, concepts, captions_by_id, judge)
-    table = filtered_frequency(result.hits, outcome.verdicts, concepts)
+    table, _ = filtered_frequency(result.hits, outcome.verdicts, concepts)
 
     print("\nconcept          raw  filtered")
     for concept in concepts:

@@ -12,8 +12,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, UndefinedCorrelationError
 from .io import read_csv, write_csv
 
@@ -172,6 +170,8 @@ def correlate(freq: FrequencyTable, acc: AccuracyTable, method: str = "pearson")
     magnitude, so the raw scale would let the head dominate.
     spearman: rank correlation on the counts directly.
     """
+    import numpy as np
+
     _check_same_ids(freq, acc)
     ids = sorted(freq.counts)
     if len(ids) < 3:
@@ -191,6 +191,8 @@ def correlate(freq: FrequencyTable, acc: AccuracyTable, method: str = "pearson")
 def _unit_deviations(values: np.ndarray) -> np.ndarray:
     """Deviations from the mean, scaled to unit length. They are divided by
     the largest deviation before the norm is taken, so it cannot overflow."""
+    import numpy as np
+
     dev = values - values.mean()
     top = np.max(np.abs(dev))
     return dev / (top * np.linalg.norm(dev / top, axis=-1))
@@ -198,6 +200,8 @@ def _unit_deviations(values: np.ndarray) -> np.ndarray:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they span."""
+    import numpy as np
+
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])

@@ -23,15 +23,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import analytics, judge as judge_mod, lexicon, matcher, reallinear, realprompt
+# numpy loads only in the stages that compute with embeddings or statistics:
+# the modules that need it (embeddings, realprompt, reallinear) are imported
+# inside those stages.
+from . import analytics, judge as judge_mod, lexicon, matcher
 from .analytics import AccuracyTable, FrequencyTable
-from .corpus import open_corpus, shard_corpus
-from .embeddings import load_embeddings
+from .corpus import open_corpus, read_captions_at, shard_corpus
+from .defaults import DEFAULT_K, TRAIN_MODES
 from .errors import DivergenceError, InputError, ProviderError, TallyError
 from .io import atomic_write, read_csv, read_jsonl, write_csv
-from .realprompt import ClassifierWeights, PromptTemplateSet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,6 +70,13 @@ def _parse_embeddings(pairs: list[str] | None) -> dict[str, str]:
     return out
 
 
+def load_embeddings(path: str):
+    """embeddings.load_embeddings, imported on first use."""
+    from .embeddings import load_embeddings
+
+    return load_embeddings(path)
+
+
 def _require_embedding(embs: dict[str, str], role: str):
     if role not in embs:
         raise UsageError(f"this command requires --embeddings {role}=<path>")
@@ -89,6 +96,22 @@ def _load_captions_for(hit_ids: set[int], path: str, fmt: str) -> dict[int, str]
         if rec.id in hit_ids:
             captions[rec.id] = rec.norm_text
     return captions
+
+
+def _hit_offsets(hits: list[matcher.MatchHit], path: str) -> dict[int, int]:
+    """The corpus byte offset the scan recorded for each hit caption."""
+    offsets: dict[int, int] = {}
+    for h in hits:
+        if h.offset is None:
+            raise InputError(
+                f"{path}: hit for caption id {h.caption_id} has no offset; rerun tally scan"
+            )
+        if offsets.setdefault(h.caption_id, h.offset) != h.offset:
+            raise InputError(
+                f"{path}: caption id {h.caption_id} has two offsets, "
+                f"{offsets[h.caption_id]} and {h.offset}"
+            )
+    return offsets
 
 
 # ---------------------------------------------------------------- synonyms
@@ -203,8 +226,7 @@ def cmd_judge(args) -> dict:
     if not args.hits:
         raise UsageError("--hits is required unless --precision is given")
     hits = matcher.load_hits(args.hits)
-    needed = {h.caption_id for h in hits}
-    captions = _load_captions_for(needed, args.corpus, args.format)
+    captions = read_captions_at(args.corpus, args.format, _hit_offsets(hits, args.hits))
     cache = judge_mod.VerdictCache(_cache_dir(args))
     outcome = judge_mod.judge_hits(
         hits,
@@ -241,11 +263,8 @@ def cmd_freq(args) -> dict:
     undecided = 0
     if args.verdicts:
         outcome = judge_mod.load_verdicts(args.verdicts)
-        table = judge_mod.filtered_frequency(
+        table, syn_counts_filt = judge_mod.filtered_frequency(
             hits, outcome.verdicts, concepts, undecided=outcome.undecided
-        )
-        syn_counts_filt = judge_mod.filtered_synonym_counts(
-            hits, outcome.verdicts, undecided=outcome.undecided
         )
         count_source = "filtered"
         undecided = len(outcome.undecided)
@@ -318,12 +337,14 @@ def cmd_analyze(args) -> dict:
 
 
 def cmd_prompt(args) -> dict:
+    from . import realprompt
+
     sets = lexicon.load_synonym_sets(args.synonyms)
     syn_counts, count_source = _load_syn_counts(args.syn_counts)
     if args.templates in realprompt.BUILTIN_TEMPLATES:
-        templates = PromptTemplateSet.builtin(args.templates)
+        templates = realprompt.PromptTemplateSet.builtin(args.templates)
     else:
-        templates = PromptTemplateSet.from_file(args.templates)
+        templates = realprompt.PromptTemplateSet.from_file(args.templates)
     prompt_embs = _require_embedding(_parse_embeddings(args.embeddings), "prompts")
 
     chosen_rows = realprompt.chosen_synonym_report(sets, syn_counts)
@@ -377,6 +398,8 @@ def _load_syn_counts(path: str) -> tuple[dict[tuple[int, str], int], str]:
 
 
 def cmd_retrieve(args) -> dict:
+    from . import reallinear
+
     sets = lexicon.load_synonym_sets(args.synonyms)
     embs = _parse_embeddings(args.embeddings)
     caption_embs = _require_embedding(embs, "captions")
@@ -412,6 +435,11 @@ def cmd_retrieve(args) -> dict:
 
 
 def cmd_train(args) -> dict:
+    import numpy as np
+
+    from . import reallinear
+    from .realprompt import ClassifierWeights
+
     init = ClassifierWeights.load(args.init)
     retrieval = reallinear.RetrievalSet.from_jsonl(args.retrieval)
     embs = _parse_embeddings(args.embeddings)
@@ -472,6 +500,11 @@ def cmd_train(args) -> dict:
 
 
 def cmd_eval(args) -> dict:
+    import numpy as np
+
+    from . import reallinear
+    from .realprompt import ClassifierWeights
+
     weights = ClassifierWeights.load(args.weights)
     images = _require_embedding(_parse_embeddings(args.embeddings), "images")
     labels = read_csv(
@@ -511,13 +544,13 @@ def cmd_report(args) -> dict:
     lines: list[str] = ["# tally run report", ""]
     sections = []
 
-    freq_rows = read_csv(
+    freq = analytics._read_concept_csv(
         freq_path,
-        ("concept_id", "raw", "filtered"),
-        "frequency row",
-        lambda r: (int(r["concept_id"]), r.get("name", ""), int(r["raw"]), int(r["filtered"])),
+        "frequency",
+        ("raw", "filtered"),
+        lambda r: (r.get("name", ""), int(r["raw"]), int(r["filtered"])),
     )
-    freq_rows.sort(key=lambda r: (-r[3], r[0]))
+    freq_rows = sorted(((cid, *row) for cid, row in freq.items()), key=lambda r: (-r[3], r[0]))
     lines += [
         "## Concept frequency",
         "",
@@ -706,7 +739,7 @@ def build_parser() -> _Parser:
     p.add_argument("--verdicts")
     p.add_argument("--synonyms", required=True)
     p.add_argument("--embeddings", action="append", metavar="ROLE=PATH")
-    p.add_argument("--k", type=int, default=reallinear.DEFAULT_K)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--query", choices=["synonyms", "name"], default="synonyms")
     p.add_argument("--out", required=True)
     p.add_argument("--shortfall-out")
@@ -716,7 +749,7 @@ def build_parser() -> _Parser:
     p.add_argument("--init", required=True, help="zero-shot weights file")
     p.add_argument("--synonyms")
     p.add_argument("--embeddings", action="append", metavar="ROLE=PATH")
-    p.add_argument("--mode", choices=list(reallinear.TRAIN_MODES), default="cross_modal")
+    p.add_argument("--mode", choices=list(TRAIN_MODES), default="cross_modal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--weight-decay", type=float, default=1e-2)

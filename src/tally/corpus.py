@@ -7,6 +7,8 @@ its norm_text is read, so a pass that keeps few records pays for few.
 Malformed lines are counted and skipped, never fatal, so a single bad row
 in a web-scale dump cannot kill a multi-hour scan; a repeated id is an
 InputError, since its hits could not say which text they came from.
+`read_captions_at` reads back only the records at the byte offsets a scan
+recorded, so judging pays for the hits, not the corpus.
 """
 
 from __future__ import annotations
@@ -102,6 +104,22 @@ def _parse_tsv_line(line: str) -> tuple[int, str] | str:
     return rec_id, row[1]
 
 
+_PARSERS = {"jsonl": _parse_jsonl_line, "tsv": _parse_tsv_line}
+
+
+def _parse_raw_line(raw: bytes, parse) -> tuple[int, str] | str | None:
+    """Parse one line as read from the file: None when it is blank, else
+    (id, text) or a reason string when it is malformed."""
+    stripped = raw.strip(b"\r\n")
+    if not stripped:
+        return None
+    try:
+        line = stripped.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return f"invalid utf-8: {e.reason}"
+    return parse(line)
+
+
 class CorpusReader:
     """Single-pass iterator over corpus records.
 
@@ -137,7 +155,7 @@ class CorpusReader:
             self.skips.append(SkippedLine(offset, reason))
 
     def __iter__(self):
-        parse = _parse_jsonl_line if self.format == "jsonl" else _parse_tsv_line
+        parse = _PARSERS[self.format]
         seen: set[int] = set()
         with open(self.path, "rb") as f:
             f.seek(self.start_byte)
@@ -150,15 +168,9 @@ class CorpusReader:
                     break
                 line_offset = offset
                 offset += len(raw)
-                stripped = raw.strip(b"\r\n")
-                if not stripped:
+                parsed = _parse_raw_line(raw, parse)
+                if parsed is None:
                     continue
-                try:
-                    line = stripped.decode("utf-8")
-                except UnicodeDecodeError as e:
-                    self._skip(line_offset, f"invalid utf-8: {e.reason}")
-                    continue
-                parsed = parse(line)
                 if isinstance(parsed, str):
                     self._skip(line_offset, parsed)
                     continue
@@ -177,6 +189,28 @@ class CorpusReader:
 def open_corpus(path: str, format: str = "jsonl") -> CorpusReader:
     """Open a corpus file for streaming iteration."""
     return CorpusReader(path, format)
+
+
+def read_captions_at(path: str, format: str, offsets: dict[int, int]) -> dict[int, str]:
+    """Normalized text of each caption id, read from the line that starts at
+    its byte offset (as a scan recorded it) with the parser of CorpusReader.
+
+    Lines are read in file order. A blank, malformed or other-id line at an
+    offset, or none, is an InputError naming the path and the id: the
+    corpus changed since the scan.
+    """
+    parse = _PARSERS[format]
+    captions: dict[int, str] = {}
+    with open(path, "rb") as f:
+        for rec_id, offset in sorted(offsets.items(), key=lambda item: item[1]):
+            f.seek(offset)
+            parsed = _parse_raw_line(f.readline(), parse)
+            if not isinstance(parsed, tuple) or parsed[0] != rec_id:
+                raise InputError(
+                    f"{path}: corpus changed since scan: no caption id {rec_id} at byte {offset}"
+                )
+            captions[rec_id] = normalize_text(parsed[1])
+    return captions
 
 
 def shard_corpus(path: str, n_shards: int, format: str = "jsonl") -> list[CorpusShard]:

@@ -296,12 +296,13 @@ def filtered_frequency(
     concepts: ConceptSet | None = None,
     *,
     undecided: list[tuple[int, int]] | None = None,
-) -> FrequencyTable:
+) -> tuple[FrequencyTable, dict[tuple[int, str], int]]:
     """Per-concept counts of captions with ≥1 hit (raw) and ≥1 relevant hit
-    (filtered). Undecided pairs count toward raw but not filtered."""
+    (filtered), and captions per (concept, synonym) counting only relevant
+    pairs. Undecided pairs count toward raw but not filtered."""
     relevant = relevant_pairs(hits, verdicts, undecided)
     ids = concepts.ids if concepts is not None else None
-    return count_captions(hits, ids, relevant)[0]
+    return count_captions(hits, ids, relevant)
 
 
 def filtered_synonym_counts(
@@ -311,7 +312,7 @@ def filtered_synonym_counts(
     undecided: list[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, str], int]:
     """Captions per (concept, synonym) counting only judged-relevant pairs."""
-    return count_captions(hits, relevant=relevant_pairs(hits, verdicts, undecided))[1]
+    return filtered_frequency(hits, verdicts, undecided=undecided)[1]
 
 
 def definition_precision(

@@ -18,14 +18,16 @@ import json
 import logging
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import normalize_text
-from .embeddings import EmbeddingMatrix
 from .errors import InputError, ProviderError
 from .io import read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -169,15 +171,19 @@ class CacheFile:
     """An append-only JSONL file of provider answers that survives a torn final line.
 
     A writer killed mid-append leaves the last line without its newline.
-    `load` skips that line when it is not a valid record, and the next
-    `append` truncates it first; a valid record that only lacks its newline
-    is kept and ended before the next record is written. Any other
-    malformed line is an InputError naming path:lineno.
+    `load` skips that line when it is not a valid record, and the first
+    `append` truncates it; a valid record that only lacks its newline is
+    kept and ended before the next record is written. Any other malformed
+    line is an InputError naming path:lineno. Appends share one handle,
+    flushed after each record so a kill tears at most the last line, and
+    closed when the CacheFile is collected (in CPython, as soon as its
+    owner drops it).
     """
 
     def __init__(self, path: str):
         self.path = path
         self._repair: tuple[int, bytes] | None = None  # truncate at, then write
+        self._handle = None
 
     def load(self, parse) -> dict:
         """Map every record through parse(obj) -> (key, value); later records win."""
@@ -205,13 +211,16 @@ class CacheFile:
         return table
 
     def append(self, record: dict) -> None:
-        with open(self.path, "ab") as f:
+        if self._handle is None:
+            self._handle = open(self.path, "ab")
+            weakref.finalize(self, self._handle.close)
             if self._repair is not None:
                 at, glue = self._repair
-                f.truncate(at)
-                f.write(glue)
+                self._handle.truncate(at)
+                self._handle.write(glue)
                 self._repair = None
-            f.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+        self._handle.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+        self._handle.flush()
 
 
 class SynonymCache:
@@ -308,6 +317,8 @@ def filter_synonyms(
     so the pass is idempotent. Embeddings are looked up by normalized name
     / synonym string; a missing key raises MissingEmbeddingError naming it.
     """
+    import numpy as np
+
     ids = [s.concept_id for s in sets]
     name_keys = [normalize_text(concepts[cid].name) for cid in ids]
     name_mat = np.stack([name_embeddings.vector(k) for k in name_keys]).astype(np.float64)

@@ -48,12 +48,14 @@ class MatchHit:
 
     span indexes the normalized text: norm_text[span[0]:span[1]] == synonym.
     Hits read back from disk carry no span (the file schema omits it).
+    offset is the byte offset of the caption's corpus line, when known.
     """
 
     caption_id: int
     concept_id: int
     synonym: str
     span: tuple[int, int] | None = None
+    offset: int | None = None
 
 
 @dataclass
@@ -152,9 +154,11 @@ class ScanResult:
     hits: list[MatchHit] = field(default_factory=list)
 
 
-def caption_hits(record_id: int, norm_text: str, automaton: PatternAutomaton) -> list[MatchHit]:
+def caption_hits(
+    record_id: int, norm_text: str, automaton: PatternAutomaton, offset: int | None = None
+) -> list[MatchHit]:
     """Hits for one caption: one per (concept, synonym), first occurrence,
-    ordered by (concept_id, synonym)."""
+    ordered by (concept_id, synonym); each carries the caption's offset."""
     first: dict[str, int] = {}
     for pattern, start in automaton.find(norm_text):
         if pattern not in first or start < first[pattern]:
@@ -162,7 +166,7 @@ def caption_hits(record_id: int, norm_text: str, automaton: PatternAutomaton) ->
     hits = []
     for pattern, start in first.items():
         for cid in automaton.owners[pattern]:
-            hits.append(MatchHit(record_id, cid, pattern, (start, start + len(pattern))))
+            hits.append(MatchHit(record_id, cid, pattern, (start, start + len(pattern)), offset))
     hits.sort(key=lambda h: (h.concept_id, h.synonym))
     return hits
 
@@ -199,7 +203,7 @@ def _match_records(records, automaton: PatternAutomaton) -> tuple[list[MatchHit]
     n_records = 0
     for rec in records:
         n_records += 1
-        hits.extend(caption_hits(rec.id, rec.norm_text, automaton))
+        hits.extend(caption_hits(rec.id, rec.norm_text, automaton, rec.byte_offset))
     return hits, n_records, getattr(records, "skip_count", 0)
 
 
@@ -247,19 +251,20 @@ def scan_shards(
 
 
 def save_hits(hits: list[MatchHit], path: str) -> None:
-    """Write hits as JSONL {"caption_id","concept_id","synonym"}, scan order."""
-    write_jsonl(
-        path,
-        (
-            {"caption_id": h.caption_id, "concept_id": h.concept_id, "synonym": h.synonym}
-            for h in hits
-        ),
-    )
+    """Write hits as JSONL {"caption_id","concept_id","synonym","offset"}, scan order."""
+    keys = ("caption_id", "concept_id", "synonym", "offset")
+    write_jsonl(path, ({key: getattr(h, key) for key in keys} for h in hits))
 
 
 def load_hits(path: str) -> list[MatchHit]:
-    return read_jsonl(
-        path,
-        "hit record",
-        lambda obj: MatchHit(int(obj["caption_id"]), int(obj["concept_id"]), str(obj["synonym"])),
-    )
+    """Read hits back; a line without "offset" (an older scan) reads as None."""
+
+    def parse(obj) -> MatchHit:
+        offset = obj.get("offset")
+        if offset is not None and (not isinstance(offset, int) or offset < 0):
+            raise ValueError(f"offset {offset!r} is not a byte offset")
+        return MatchHit(
+            int(obj["caption_id"]), int(obj["concept_id"]), str(obj["synonym"]), None, offset
+        )
+
+    return read_jsonl(path, "hit record", parse)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import AccuracyTable, mean_per_class_accuracy
+from .defaults import DEFAULT_K, TRAIN_MODES
 from .embeddings import EmbeddingMatrix, average_normalized
 from .errors import DivergenceError, InputError
 from .io import read_jsonl, write_jsonl
@@ -26,10 +27,6 @@ from .matcher import MatchHit
 from .realprompt import ClassifierWeights
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_K = 500
-
-TRAIN_MODES = ("cross_modal", "image_only")
 
 
 @dataclass

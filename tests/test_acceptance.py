@@ -163,7 +163,7 @@ def test_03_judge_pipeline(tiger_corpus, tiger_concepts, tiger_sets, capsys):
         judge = RuleStubJudge({"tiger": ["tiger shark"]})
         outcome = judge_hits(result.hits, tiger_concepts, captions, judge)
         assert not outcome.undecided
-        table = filtered_frequency(result.hits, outcome.verdicts, tiger_concepts)
+        table, _ = filtered_frequency(result.hits, outcome.verdicts, tiger_concepts)
 
         tiger_captions = {h.caption_id for h in result.hits if h.concept_id == 0}
         blocklisted = sum(1 for cid in tiger_captions if "tiger shark" in captions[cid])

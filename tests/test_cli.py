@@ -467,6 +467,16 @@ def test_analyze_refuses_a_repeated_concept_id(capsys, world):
     assert f"{freq}:4: bad frequency row: duplicate concept_id 0" in err["message"]
 
 
+def test_report_refuses_a_repeated_concept_id(capsys, world):
+    run = world["dir"] / "dup_run"
+    run.mkdir()
+    (run / "freq.csv").write_text("concept_id,name,raw,filtered\n3,tiger,10,9\n3,tiger,1,0\n")
+    err = run_fail(capsys, ["report", "--run-dir", str(run), "--out", art(world, "r.md")], 2)
+    assert err["error"] == "InputError"
+    assert f"{run / 'freq.csv'}:3: bad frequency row: duplicate concept_id 3" in err["message"]
+    assert not (world["dir"] / "r.md").exists()
+
+
 def test_report_names_missing_artifact(capsys, world):
     (world["dir"] / "empty_run").mkdir()
     err = run_fail(capsys, [
@@ -613,6 +623,115 @@ def test_judge_reruns_after_torn_cache_line(capsys, world):
     ).read_bytes()
 
 
+# ------------------------------------------------- judge seeks to offsets
+
+
+def scan_world(capsys, world, corpus=None, fmt="jsonl", threads=1, out="hits.jsonl"):
+    """Synonyms, then a scan of `corpus` (the world's by default) into `out`."""
+    run_ok(capsys, [
+        "synonyms", "--concepts", world["concepts"], "--fixture", world["fixture"],
+        "--cache-dir", art(world, "cache"), "--out", art(world, "synsets.jsonl"),
+    ])
+    run_ok(capsys, [
+        "scan", "--corpus", corpus or world["corpus"], "--format", fmt,
+        "--synonyms", art(world, "synsets.jsonl"), "--threads", str(threads),
+        "--out", art(world, out),
+    ])
+    return [json.loads(line) for line in (world["dir"] / out).read_text().splitlines()]
+
+
+def judge_argv(world, corpus=None, fmt="jsonl", hits="hits.jsonl", out="verdicts.jsonl"):
+    return [
+        "judge", "--concepts", world["concepts"], "--corpus", corpus or world["corpus"],
+        "--format", fmt, "--hits", art(world, hits), "--blocklist", world["blocklist"],
+        "--cache-dir", art(world, "cache"), "--out", art(world, out),
+    ]
+
+
+def line_offsets(path) -> dict[int, int]:
+    """Byte offset of each line of a file, by line number from 0."""
+    offsets, at = {}, 0
+    for i, line in enumerate(Path(path).read_bytes().splitlines(keepends=True)):
+        offsets[i] = at
+        at += len(line)
+    return offsets
+
+
+def test_scan_writes_each_captions_offset_on_any_thread_count(capsys, world):
+    one = scan_world(capsys, world, out="hits1.jsonl")
+    two = scan_world(capsys, world, threads=2, out="hits2.jsonl")
+    assert (world["dir"] / "hits1.jsonl").read_bytes() == (world["dir"] / "hits2.jsonl").read_bytes()
+    at = line_offsets(world["corpus"])  # corpus line i holds caption id i
+    assert one and all(h["offset"] == at[h["caption_id"]] for h in one)
+    assert two == one
+
+
+def test_judge_refuses_a_corpus_changed_since_scan(capsys, world):
+    scan_world(capsys, world)
+    lines = Path(world["corpus"]).read_text().splitlines(keepends=True)
+    Path(world["corpus"]).write_text("".join([lines[1], lines[0], *lines[2:]]))
+    err = run_fail(capsys, judge_argv(world), 2)
+    assert err["error"] == "InputError"
+    assert f"{world['corpus']}: corpus changed since scan: no caption id 0 at byte 0" in err["message"]
+    assert not (world["dir"] / "verdicts.jsonl").exists()
+
+
+def test_judge_refuses_a_corpus_cut_short_since_scan(capsys, world):
+    scan_world(capsys, world)
+    lines = Path(world["corpus"]).read_text().splitlines(keepends=True)
+    Path(world["corpus"]).write_text("".join(lines[:5]))
+    err = run_fail(capsys, judge_argv(world), 2)
+    assert "corpus changed since scan: no caption id 5 at byte 242" in err["message"]
+
+
+def test_judge_refuses_hits_without_offsets(capsys, world):
+    hits = scan_world(capsys, world)
+    write_jsonl(world["dir"] / "old_hits.jsonl", [
+        {k: v for k, v in h.items() if k != "offset"} for h in hits
+    ])
+    err = run_fail(capsys, judge_argv(world, hits="old_hits.jsonl"), 2)
+    assert err["error"] == "InputError"
+    assert f"{art(world, 'old_hits.jsonl')}: hit for caption id 0 has no offset" in err["message"]
+    assert "rerun tally scan" in err["message"]
+
+
+def test_judge_refuses_a_caption_with_two_offsets(capsys, world):
+    hits = scan_world(capsys, world)
+    write_jsonl(world["dir"] / "odd_hits.jsonl", [*hits, {**hits[0], "offset": 1}])
+    err = run_fail(capsys, judge_argv(world, hits="odd_hits.jsonl"), 2)
+    assert f"caption id {hits[0]['caption_id']} has two offsets" in err["message"]
+
+
+def test_judge_over_tsv_equals_the_streaming_read(capsys, world):
+    """Seeking into a TSV corpus, quoted caption and all, judges exactly
+    what the streaming reader reads."""
+    from tally.corpus import open_corpus
+    from tally.judge import RuleStubJudge, judge_hits, save_verdicts
+    from tally.lexicon import ConceptSet
+    from tally.matcher import load_hits
+
+    tsv = world["dir"] / "corpus.tsv"
+    rows = [f"{i}\t{t}\n" for i, t, _ in CORPUS_ROWS]
+    rows[1] = '1\t"tiger shark\tswimming in ""water"""\n'
+    tsv.write_text("not a record\n" + "".join(rows))
+    hits = scan_world(capsys, world, corpus=str(tsv), fmt="tsv")
+    at = line_offsets(tsv)  # line 0 is the malformed one
+    assert all(h["offset"] == at[h["caption_id"] + 1] for h in hits)
+    run_ok(capsys, judge_argv(world, corpus=str(tsv), fmt="tsv"))
+
+    outcome = judge_hits(
+        load_hits(art(world, "hits.jsonl")),
+        ConceptSet.from_jsonl(world["concepts"]),
+        {r.id: r.norm_text for r in open_corpus(str(tsv), "tsv")},
+        RuleStubJudge.from_jsonl(world["blocklist"]),
+    )
+    save_verdicts(outcome, art(world, "streamed.jsonl"))
+    assert (world["dir"] / "verdicts.jsonl").read_bytes() == (
+        world["dir"] / "streamed.jsonl"
+    ).read_bytes()
+    assert any(not v.relevant for v in outcome.verdicts)  # the shark is still vetoed
+
+
 # --------------------------------------------------------------- precision
 
 
@@ -630,6 +749,21 @@ def test_judge_precision_mode(capsys, world):
     # blocklist rejects the shark caption, both remaining pairs are gold-relevant
     assert lines[1] == "0,a large striped cat,1.0"
     assert lines[2] == '0,"panthera tigris, the animal",1.0'
+
+
+def test_judge_precision_mode_streams_the_corpus_not_the_hits(capsys, world):
+    """Validation ids are not hits: --precision reads the corpus, not the
+    offsets of a --hits file (here one from before offsets existed)."""
+    write_jsonl(world["dir"] / "old_hits.jsonl", [{"caption_id": 5, "concept_id": 1, "synonym": "cat"}])
+    argv = [
+        "judge", "--concepts", world["concepts"], "--corpus", world["corpus"],
+        "--blocklist", world["blocklist"], "--precision", "--validation", world["validation"],
+        "--definitions", world["definitions"],
+    ]
+    run_ok(capsys, [*argv, "--out", art(world, "p1.csv")])
+    run_ok(capsys, [*argv, "--hits", art(world, "old_hits.jsonl"), "--out", art(world, "p2.csv")])
+    assert (world["dir"] / "p1.csv").read_text().splitlines()[1] == "0,a large striped cat,1.0"
+    assert (world["dir"] / "p2.csv").read_bytes() == (world["dir"] / "p1.csv").read_bytes()
 
 
 def test_precision_requires_validation(capsys, world):

@@ -76,7 +76,7 @@ def test_filtering_removes_string_collisions(tiger_corpus, tiger_concepts, tiger
     hits, captions = pipeline_fixture(tiger_corpus, tiger_sets)
     judge = RuleStubJudge({"tiger": ["tiger shark"]})
     outcome = judge_hits(hits, tiger_concepts, captions, judge)
-    table = filtered_frequency(hits, outcome.verdicts, tiger_concepts)
+    table, _ = filtered_frequency(hits, outcome.verdicts, tiger_concepts)
     assert table.raw(0) == 5
     assert table.filtered(0) == 4  # caption 1 ("tiger shark ...") removed
     assert table.raw(1) == 1
@@ -294,7 +294,7 @@ def test_filtered_frequency_requires_verdicts():
 def test_filtered_frequency_undecided_excluded_from_filtered():
     hits = [MatchHit(1, 0, "tiger"), MatchHit(2, 0, "tiger")]
     verdicts = [JudgeVerdict(1, 0, True, "j")]
-    table = filtered_frequency(hits, verdicts, undecided=[(2, 0)])
+    table, _ = filtered_frequency(hits, verdicts, undecided=[(2, 0)])
     assert table.raw(0) == 2
     assert table.filtered(0) == 1
 
@@ -302,7 +302,7 @@ def test_filtered_frequency_undecided_excluded_from_filtered():
 def test_filtered_frequency_zero_rows_for_unmatched_concepts(tiger_concepts):
     hits = [MatchHit(1, 0, "tiger")]
     verdicts = [JudgeVerdict(1, 0, True, "j")]
-    table = filtered_frequency(hits, verdicts, tiger_concepts)
+    table, _ = filtered_frequency(hits, verdicts, tiger_concepts)
     assert table.raw(1) == 0
     assert table.filtered(1) == 0
 
@@ -316,7 +316,7 @@ def test_filtered_frequency_any_relevant_hit_counts():
         MatchHit(2, 0, "tiger"),
     ]
     verdicts = [JudgeVerdict(1, 0, False, "j"), JudgeVerdict(2, 0, True, "j")]
-    table = filtered_frequency(hits, verdicts)
+    table, _ = filtered_frequency(hits, verdicts)
     assert table.raw(0) == 2
     assert table.filtered(0) == 1
 

@@ -8,10 +8,11 @@ import pytest
 import requests
 
 from conftest import fake_post, write_jsonl
-from tally import io
+from tally import io, lexicon
 from tally.embeddings import EmbeddingMatrix, cosine
 from tally.errors import InputError, MissingEmbeddingError, ProviderError
 from tally.lexicon import (
+    CacheFile,
     Concept,
     ConceptSet,
     FixtureSynonymProvider,
@@ -196,6 +197,27 @@ def test_cache_malformed_middle_line_is_input_error(tmp_path):
     path.write_text("not json\n" + path.read_text())
     with pytest.raises(InputError, match=f"{path.name}:1:"):
         expand_synonyms(Concept(1, "tiger"), provider, SynonymCache(str(cache_dir)))
+
+
+def test_cache_file_appends_through_one_flushed_handle(tmp_path, monkeypatch):
+    """A CacheFile opens its file once for all appends, repairs a torn final
+    line on the first, and has each record on disk when append returns."""
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b'{"k": 1}\n{"k": 2')  # writer killed mid-append
+    modes = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(lexicon, "open", counting_open, raising=False)
+    cache = CacheFile(str(path))
+    assert cache.load(lambda obj: (obj["k"], True)) == {1: True}
+    for k in (3, 4, 5):
+        cache.append({"k": k})
+        assert path.read_bytes().endswith(b'{"k": %d}\n' % k)
+    assert path.read_bytes() == b'{"k": 1}\n{"k": 3}\n{"k": 4}\n{"k": 5}\n'
+    assert modes.count("ab") == 1
 
 
 def test_cache_keyed_by_provider_id(tmp_path):

@@ -267,6 +267,40 @@ def test_import_cli_does_not_load_requests():
     assert "requests" not in _modules_loaded_by("tally.cli")
 
 
+def test_count_stages_do_not_load_numpy(tmp_path):
+    """synonyms (without --filter), scan, judge, freq and report compute
+    nothing with embeddings or statistics, so none of them loads numpy."""
+    write_jsonl(tmp_path / "concepts.jsonl", [
+        {"concept_id": 0, "name": "tiger"}, {"concept_id": 1, "name": "cat"},
+    ])
+    write_jsonl(tmp_path / "fixture.jsonl", [{"name": "tiger", "synonyms": ["big cat"]}])
+    write_jsonl(tmp_path / "corpus.jsonl", [
+        {"id": 0, "text": "a tiger"}, {"id": 1, "text": "tiger shark"}, {"id": 2, "text": "a cat"},
+    ])
+    write_jsonl(tmp_path / "blocklist.jsonl", [{"name": "tiger", "reject_phrases": ["shark"]}])
+    (tmp_path / "run").mkdir()
+    f = {name: str(tmp_path / name) for name in (
+        "concepts.jsonl", "fixture.jsonl", "corpus.jsonl", "blocklist.jsonl", "cache",
+        "synsets.jsonl", "hits.jsonl", "verdicts.jsonl", "run/freq.csv", "run", "report.md",
+    )}
+    stages = [
+        ["synonyms", "--concepts", f["concepts.jsonl"], "--fixture", f["fixture.jsonl"],
+         "--cache-dir", f["cache"], "--out", f["synsets.jsonl"]],
+        ["scan", "--corpus", f["corpus.jsonl"], "--synonyms", f["synsets.jsonl"],
+         "--out", f["hits.jsonl"]],
+        ["judge", "--concepts", f["concepts.jsonl"], "--corpus", f["corpus.jsonl"],
+         "--hits", f["hits.jsonl"], "--blocklist", f["blocklist.jsonl"],
+         "--cache-dir", f["cache"], "--out", f["verdicts.jsonl"]],
+        ["freq", "--hits", f["hits.jsonl"], "--verdicts", f["verdicts.jsonl"],
+         "--concepts", f["concepts.jsonl"], "--out", f["run/freq.csv"]],
+        ["report", "--run-dir", f["run"], "--out", f["report.md"]],
+    ]
+    for argv in stages:
+        loaded = _modules_loaded_by("tally.cli", f"assert tally.cli.main({argv!r}) == 0")
+        assert "numpy" not in loaded, argv[0]
+    assert "tiger" in (tmp_path / "report.md").read_text()
+
+
 def test_import_tally_loads_no_submodule():
     """Every name has one import path, its module; the package root re-exports none."""
     loaded = _modules_loaded_by("tally")
@@ -383,6 +417,24 @@ def test_hits_round_trip(tmp_path, tiger_corpus, tiger_sets):
         (h.caption_id, h.concept_id, h.synonym) for h in result.hits
     ]
     assert all(h.span is None for h in back)
+
+
+def test_hits_keep_caption_offsets(tmp_path, tiger_corpus, tiger_sets):
+    """Each hit carries its caption's byte offset, and save/load keeps it."""
+    path, _ = tiger_corpus
+    at = {rec.id: rec.byte_offset for rec in open_corpus(path)}
+    result = scan(open_corpus(path), compile(tiger_sets))
+    assert result.hits and all(h.offset == at[h.caption_id] for h in result.hits)
+    out = tmp_path / "hits.jsonl"
+    save_hits(result.hits, str(out))
+    assert [h.offset for h in load_hits(str(out))] == [h.offset for h in result.hits]
+
+
+def test_load_hits_bad_offset(tmp_path):
+    path = tmp_path / "hits.jsonl"
+    path.write_text('{"caption_id": 1, "concept_id": 2, "synonym": "x", "offset": -4}\n')
+    with pytest.raises(InputError, match=":1: bad hit record: offset -4"):
+        load_hits(str(path))
 
 
 def test_load_hits_bad_record(tmp_path):
