@@ -96,12 +96,12 @@ def main() -> None:
     retrieved = retrieve_balanced(hits, captions, queries, k=K)
     print(f"retrieved top-{K} per concept; shortfalls: {retrieved.shortfall(K) or 'none'}")
 
-    image_x, image_y = [], []
+    image_keys, image_y = [], []
     for cid, rows in sorted(retrieved.ranked.items()):
         for caption_id, _score in rows:
-            image_x.append(captions.vector(str(caption_id)))
+            image_keys.append(str(caption_id))
             image_y.append(cid)
-    image_x = np.stack(image_x).astype(np.float64)
+    image_x = captions.rows(image_keys).astype(np.float64)
     image_y = np.asarray(image_y, dtype=np.int64)
     text_x, text_y = build_text_examples(sets, synonyms, zeroshot)
 

@@ -121,10 +121,8 @@ def cmd_synonyms(args) -> dict:
     concepts = lexicon.ConceptSet.from_jsonl(args.concepts)
     if args.provider_url:
         provider = lexicon.HttpSynonymProvider(args.provider_url, timeout=args.timeout)
-    elif args.fixture:
-        provider = lexicon.FixtureSynonymProvider.from_jsonl(args.fixture)
     else:
-        raise UsageError("one of --provider-url or --fixture is required")
+        provider = lexicon.FixtureSynonymProvider.from_jsonl(args.fixture)
     cache = lexicon.SynonymCache(_cache_dir(args))
     sets = [lexicon.expand_synonyms(c, provider, cache) for c in concepts]
 
@@ -186,10 +184,8 @@ def cmd_judge(args) -> dict:
     concepts = lexicon.ConceptSet.from_jsonl(args.concepts)
     if args.judge_url:
         judge = judge_mod.HttpJudge(args.judge_url, timeout=args.timeout)
-    elif args.blocklist:
-        judge = judge_mod.RuleStubJudge.from_jsonl(args.blocklist)
     else:
-        raise UsageError("one of --judge-url or --blocklist is required")
+        judge = judge_mod.RuleStubJudge.from_jsonl(args.blocklist)
 
     if args.precision:
         if not args.validation:
@@ -449,15 +445,13 @@ def cmd_train(args) -> dict:
     unknown = sorted(set(retrieval.ranked) - set(row_of))
     if unknown:
         raise InputError(f"retrieved rows for concepts not in --init: {unknown[:5]}")
-    feats = []
+    keys = []
     labels = []
     for cid in init.concept_ids:
         for caption_id, _ in retrieval.ranked.get(cid, []):
-            feats.append(images.vector(str(caption_id)).astype(np.float64))
+            keys.append(str(caption_id))
             labels.append(row_of[cid])
-    image_features = (
-        np.stack(feats) if feats else np.empty((0, init.dim), dtype=np.float64)
-    )
+    image_features = images.rows(keys).astype(np.float64)
     image_labels = np.asarray(labels, dtype=np.int64)
 
     config = reallinear.TrainConfig(
@@ -500,8 +494,6 @@ def cmd_train(args) -> dict:
 
 
 def cmd_eval(args) -> dict:
-    import numpy as np
-
     from . import reallinear
     from .realprompt import ClassifierWeights
 
@@ -513,8 +505,7 @@ def cmd_eval(args) -> dict:
     if not labels:
         raise InputError(f"{args.labels}: no labeled examples")
     ids, gold = zip(*labels)
-    feats = np.stack([images.vector(i) for i in ids])
-    mpca, table = reallinear.evaluate(weights, feats, gold)
+    mpca, table = reallinear.evaluate(weights, images.rows(ids), gold)
     table.to_csv(args.out)
     return {
         "command": "eval",
@@ -678,8 +669,9 @@ def build_parser() -> _Parser:
     p = add("synonyms", cmd_synonyms, "expand concept names into synonym sets")
     p.add_argument("--concepts", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--provider-url")
-    p.add_argument("--fixture")
+    provider = p.add_mutually_exclusive_group(required=True)
+    provider.add_argument("--provider-url")
+    provider.add_argument("--fixture")
     p.add_argument("--cache-dir")
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--filter", action="store_true", help="drop synonyms nearer to other concepts")
@@ -700,8 +692,9 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
     p.add_argument("--hits")
-    p.add_argument("--judge-url")
-    p.add_argument("--blocklist")
+    provider = p.add_mutually_exclusive_group(required=True)
+    provider.add_argument("--judge-url")
+    provider.add_argument("--blocklist")
     p.add_argument("--cache-dir")
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--max-attempts", type=int, default=3)

@@ -54,7 +54,7 @@ class EmbeddingMatrix:
             raise InputError(f"embedding data must be 2-d, got shape {self.data.shape}")
         if len(self.keys) != self.data.shape[0]:
             raise InputError(
-                f"{len(self.keys)} keys but {self.data.shape[0]} rows of embedding data"
+                f"{len(self.keys)} keys but embedding data of shape {self.data.shape}"
             )
         self._index = {}
         for i, key in enumerate(self.keys):
@@ -81,12 +81,23 @@ class EmbeddingMatrix:
     def __contains__(self, key: str) -> bool:
         return key in self._index
 
-    def vector(self, key: str) -> np.ndarray:
-        """Row for `key`; raises MissingEmbeddingError naming the key."""
-        i = self._index.get(key)
-        if i is None:
-            raise MissingEmbeddingError(key)
-        return self.data[i]
+    def rows(self, keys) -> np.ndarray:
+        """The float32 rows for `keys`, in order, as one (len(keys), dim)
+        array; raises MissingEmbeddingError naming the first missing key."""
+        try:
+            index = [self._index[key] for key in keys]
+        except KeyError as e:
+            raise MissingEmbeddingError(e.args[0]) from None
+        return self.data[np.asarray(index, dtype=np.intp)]
+
+    def unit_average(self, keys) -> np.ndarray:
+        """average_normalized of the rows for `keys`, each L2-normalized first."""
+        vecs = self.rows(keys).astype(np.float64)
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            zero = keys[int(np.argmin(norms))]
+            raise InputError(f"embedding for key {zero!r} is the zero vector")
+        return average_normalized(vecs / norms)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -37,7 +36,7 @@ from .errors import (
     UndefinedPrecisionError,
 )
 from .io import read_jsonl, write_jsonl
-from .lexicon import CacheFile, Concept, ConceptSet
+from .lexicon import CacheFile, Concept, ConceptSet, table_id
 from .matcher import MatchHit, count_captions
 
 logger = logging.getLogger(__name__)
@@ -81,14 +80,15 @@ class RuleStubJudge:
     blocklisted phrase for the concept; accept otherwise.
 
     Blocklist phrases are normalized at load and tested by plain substring
-    against the normalized caption.
+    against the caption, which callers pass already normalized. The
+    default judge_id names the normalized blocklists by their sha256.
     """
 
-    def __init__(self, blocklists: dict[str, list[str]], judge_id: str = "rule-stub"):
+    def __init__(self, blocklists: dict[str, list[str]], judge_id: str | None = None):
         self.blocklists = {
             name: [normalize_text(p) for p in phrases] for name, phrases in blocklists.items()
         }
-        self.judge_id = judge_id
+        self.judge_id = judge_id or table_id("rule-stub", self.blocklists)
 
     @classmethod
     def from_jsonl(cls, path: str) -> "RuleStubJudge":
@@ -101,9 +101,9 @@ class RuleStubJudge:
         return cls(dict(rows))
 
     def judge(self, concept: Concept, caption: str, definition: str | None = None) -> bool:
-        caption_norm = normalize_text(caption)
+        """`caption` is normalized text, as judge_hits and definition_precision pass it."""
         for phrase in self.blocklists.get(concept.name, []):
-            if phrase and phrase in caption_norm:
+            if phrase and phrase in caption:
                 return False
         return True
 
@@ -149,33 +149,28 @@ class VerdictCache:
         self.cache_dir = str(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
         self.path = os.path.join(self.cache_dir, "verdicts.jsonl")
-        self._lock = threading.Lock()
-        self._file = CacheFile(self.path)
-        self._table: dict[tuple[str, int, str], bool] = self._file.load(
+        self._file = CacheFile(
+            self.path,
             lambda obj: (
                 (obj["judge_id"], int(obj["concept_id"]), obj["caption_sha256"]),
                 bool(obj["relevant"]),
-            )
+            ),
         )
 
     def get(self, judge_id: str, concept_id: int, cap_hash: str) -> bool | None:
-        with self._lock:
-            return self._table.get((judge_id, concept_id, cap_hash))
+        return self._file.get((judge_id, concept_id, cap_hash))
 
     def put(self, judge_id: str, concept_id: int, cap_hash: str, relevant: bool) -> None:
-        with self._lock:
-            key = (judge_id, concept_id, cap_hash)
-            if key in self._table:
-                return
-            self._table[key] = relevant
-            self._file.append(
-                {
-                    "judge_id": judge_id,
-                    "concept_id": concept_id,
-                    "caption_sha256": cap_hash,
-                    "relevant": relevant,
-                }
-            )
+        self._file.put(
+            (judge_id, concept_id, cap_hash),
+            relevant,
+            {
+                "judge_id": judge_id,
+                "concept_id": concept_id,
+                "caption_sha256": cap_hash,
+                "relevant": relevant,
+            },
+        )
 
 
 @dataclass

@@ -14,6 +14,7 @@ re-runs are deterministic and free.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -124,13 +125,19 @@ class SynonymSet:
         return self.synonyms[0]
 
 
+def table_id(kind: str, table: dict) -> str:
+    """`kind:<16 hex>`, from a sha256 of an offline provider's table, so that
+    an edited fixture or blocklist starts a fresh cache slot."""
+    digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode("utf-8")).hexdigest()
+    return f"{kind}:{digest[:16]}"
+
+
 class FixtureSynonymProvider:
     """Synonyms from an in-memory mapping or a JSONL file of {"name","synonyms"}."""
 
-    provider_id = "fixture"
-
     def __init__(self, table: dict[str, list[str]]):
         self.table = dict(table)
+        self.provider_id = table_id("fixture", self.table)
 
     @classmethod
     def from_jsonl(cls, path: str) -> "FixtureSynonymProvider":
@@ -168,29 +175,29 @@ class HttpSynonymProvider:
 
 
 class CacheFile:
-    """An append-only JSONL file of provider answers that survives a torn final line.
+    """An append-only JSONL table of provider answers that survives a torn final line.
 
-    A writer killed mid-append leaves the last line without its newline.
-    `load` skips that line when it is not a valid record, and the first
-    `append` truncates it; a valid record that only lacks its newline is
-    kept and ended before the next record is written. Any other malformed
-    line is an InputError naming path:lineno. Appends share one handle,
-    flushed after each record so a kill tears at most the last line, and
-    closed when the CacheFile is collected (in CPython, as soon as its
-    owner drops it).
+    The constructor loads every record through parse(obj) -> (key, value),
+    later records winning; `put` stores and appends a key at most once, and
+    a lock serializes `get` and `put` across threads. A writer killed
+    mid-append leaves the last line without its newline. Loading skips that
+    line when it is not a valid record, and the first `put` truncates it; a
+    valid record that only lacks its newline is kept and ended before the
+    next record is written. Any other malformed line is an InputError naming
+    path:lineno. Appends share one handle, flushed after each record so a
+    kill tears at most the last line, and closed when the CacheFile is
+    collected (in CPython, as soon as its owner drops it).
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, parse):
         self.path = path
         self._repair: tuple[int, bytes] | None = None  # truncate at, then write
         self._handle = None
-
-    def load(self, parse) -> dict:
-        """Map every record through parse(obj) -> (key, value); later records win."""
-        table = {}
-        if not os.path.exists(self.path):
-            return table
-        with open(self.path, "rb") as f:
+        self._lock = threading.Lock()
+        self._table = {}
+        if not os.path.exists(path):
+            return
+        with open(path, "rb") as f:
             data = f.read()
         offset = 0
         for lineno, line in enumerate(data.split(b"\n"), 1):
@@ -204,23 +211,31 @@ class CacheFile:
                     logger.warning("%s:%d: skipping a torn final line", self.path, lineno)
                     self._repair = (offset, b"")
                 else:
-                    table[key] = value
+                    self._table[key] = value
                     if end == len(data):
                         self._repair = (end, b"\n")
             offset = end + 1
-        return table
 
-    def append(self, record: dict) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "ab")
-            weakref.finalize(self, self._handle.close)
-            if self._repair is not None:
-                at, glue = self._repair
-                self._handle.truncate(at)
-                self._handle.write(glue)
-                self._repair = None
-        self._handle.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
-        self._handle.flush()
+    def get(self, key):
+        with self._lock:
+            return self._table.get(key)
+
+    def put(self, key, value, record: dict) -> None:
+        """Store value under key and append record, unless key is already stored."""
+        with self._lock:
+            if key in self._table:
+                return
+            self._table[key] = value
+            if self._handle is None:
+                self._handle = open(self.path, "ab")
+                weakref.finalize(self, self._handle.close)
+                if self._repair is not None:
+                    at, glue = self._repair
+                    self._handle.truncate(at)
+                    self._handle.write(glue)
+                    self._repair = None
+            self._handle.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+            self._handle.flush()
 
 
 class SynonymCache:
@@ -228,37 +243,29 @@ class SynonymCache:
 
     Lines are {"name": <concept name>, "synonyms": [...]} — the raw provider
     response, before normalization, so changing the normalizer never
-    invalidates a cache. Appends are serialized with a lock.
+    invalidates a cache.
     """
 
     def __init__(self, cache_dir: str):
         self.cache_dir = str(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
-        self._lock = threading.Lock()
-        self._loaded: dict[str, tuple[CacheFile, dict[str, list[str]]]] = {}
+        self._files: dict[str, CacheFile] = {}
 
-    def _path(self, provider_id: str) -> str:
-        safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in provider_id)
-        return os.path.join(self.cache_dir, f"synonyms_{safe}.jsonl")
-
-    def _table(self, provider_id: str) -> tuple[CacheFile, dict[str, list[str]]]:
-        if provider_id not in self._loaded:
-            file = CacheFile(self._path(provider_id))
-            table = file.load(lambda obj: (obj["name"], list(obj["synonyms"])))
-            self._loaded[provider_id] = (file, table)
-        return self._loaded[provider_id]
+    def _file(self, provider_id: str) -> CacheFile:
+        file = self._files.get(provider_id)
+        if file is None:
+            safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in provider_id)
+            path = os.path.join(self.cache_dir, f"synonyms_{safe}.jsonl")
+            file = CacheFile(path, lambda obj: (obj["name"], list(obj["synonyms"])))
+            # setdefault is atomic: racing threads share whichever file won
+            file = self._files.setdefault(provider_id, file)
+        return file
 
     def get(self, provider_id: str, name: str) -> list[str] | None:
-        with self._lock:
-            return self._table(provider_id)[1].get(name)
+        return self._file(provider_id).get(name)
 
     def put(self, provider_id: str, name: str, synonyms: list[str]) -> None:
-        with self._lock:
-            file, table = self._table(provider_id)
-            if name in table:
-                return
-            table[name] = list(synonyms)
-            file.append({"name": name, "synonyms": synonyms})
+        self._file(provider_id).put(name, list(synonyms), {"name": name, "synonyms": synonyms})
 
 
 def expand_synonyms(
@@ -321,21 +328,18 @@ def filter_synonyms(
 
     ids = [s.concept_id for s in sets]
     name_keys = [normalize_text(concepts[cid].name) for cid in ids]
-    name_mat = np.stack([name_embeddings.vector(k) for k in name_keys]).astype(np.float64)
+    name_mat = name_embeddings.rows(name_keys).astype(np.float64)
     name_norms = np.linalg.norm(name_mat, axis=1)
     if np.any(name_norms == 0.0):
         raise InputError("a concept name embedding is the zero vector")
 
     out = []
     for row, synset in enumerate(sets):
-        kept_syn = []
-        kept_prov = []
-        for s, tag in zip(synset.synonyms, synset.provenance):
-            if s == synset.original:
-                kept_syn.append(s)
-                kept_prov.append(tag)
-                continue
-            v = np.asarray(synonym_embeddings.vector(s), dtype=np.float64)
+        kept_syn = synset.synonyms[:1]
+        kept_prov = synset.provenance[:1]
+        candidates = synset.synonyms[1:]
+        vecs = synonym_embeddings.rows(candidates).astype(np.float64)
+        for s, tag, v in zip(candidates, synset.provenance[1:], vecs):
             nv = np.linalg.norm(v)
             if nv == 0.0:
                 raise InputError(f"synonym {s!r} has a zero embedding")

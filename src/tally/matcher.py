@@ -183,6 +183,7 @@ def count_captions(
     when `relevant` is None. The per-synonym counts take the same hits as
     the filtered count. Table rows are `concept_ids` in that order (zero
     rows included), or the concepts seen in the hits in ascending order.
+    A hit for a concept outside `concept_ids` is an InputError.
     """
     raw: dict[int, set[int]] = {}
     kept: dict[int, set[int]] = {}
@@ -193,6 +194,9 @@ def count_captions(
             kept.setdefault(h.concept_id, set()).add(h.caption_id)
             per_synonym.setdefault((h.concept_id, h.synonym), set()).add(h.caption_id)
     ids = sorted(raw) if concept_ids is None else concept_ids
+    unknown = sorted(set(raw).difference(ids))
+    if unknown:
+        raise InputError(f"hits for concepts not in the concept list: {unknown[:5]}")
     table = FrequencyTable({cid: (len(raw.get(cid, ())), len(kept.get(cid, ()))) for cid in ids})
     return table, {key: len(caps) for key, caps in per_synonym.items()}
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analytics import AccuracyTable, mean_per_class_accuracy
 from .defaults import DEFAULT_K, TRAIN_MODES
-from .embeddings import EmbeddingMatrix, average_normalized
+from .embeddings import EmbeddingMatrix
 from .errors import DivergenceError, InputError
 from .io import read_jsonl, write_jsonl
 from .lexicon import SynonymSet
@@ -88,11 +88,7 @@ def concept_queries(
     queries = {}
     for synset in sets:
         keys = synset.synonyms if use_synonyms else [synset.original]
-        vecs = np.stack([synonym_embeddings.vector(k) for k in keys]).astype(np.float64)
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise InputError(f"concept {synset.concept_id}: a synonym embedding is zero")
-        queries[synset.concept_id] = average_normalized(vecs / norms)
+        queries[synset.concept_id] = synonym_embeddings.unit_average(keys)
     return queries
 
 
@@ -129,7 +125,7 @@ def retrieve_balanced(
             ranked[cid] = []
             continue
         ids = sorted(caption_ids)
-        mat = np.stack([caption_embeddings.vector(str(i)) for i in ids]).astype(np.float64)
+        mat = caption_embeddings.rows([str(i) for i in ids]).astype(np.float64)
         norms = np.linalg.norm(mat, axis=1)
         if np.any(norms == 0.0):
             bad = ids[int(np.argmin(norms))]
@@ -224,8 +220,8 @@ def build_text_examples(
         if synset.concept_id not in row_of:
             raise InputError(f"synonym set for unknown concept {synset.concept_id}")
         row = row_of[synset.concept_id]
-        for s in synset.synonyms:
-            v = np.asarray(synonym_embeddings.vector(s), dtype=np.float64)
+        vecs = synonym_embeddings.rows(synset.synonyms).astype(np.float64)
+        for s, v in zip(synset.synonyms, vecs):
             norm = np.linalg.norm(v)
             if norm == 0.0:
                 raise InputError(f"synonym {s!r} has a zero embedding")
@@ -258,7 +254,7 @@ def train_crossmodal(
     image_labels = np.asarray(image_labels, dtype=np.int64)
     if image_features.ndim != 2 or image_features.shape[0] != image_labels.shape[0]:
         raise InputError("image features and labels disagree in length")
-    if image_features.shape[0] and image_features.shape[1] != init.dim:
+    if image_features.shape[1] != init.dim:
         raise InputError(
             f"image feature dim {image_features.shape[1]} != weights dim {init.dim}"
         )

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import (
-    EmbeddingMatrix,
-    average_normalized,
-    load_embeddings,
-    save_embeddings,
-)
+from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from .errors import InputError
 from .io import atomic_write
 from .lexicon import SynonymSet
@@ -107,25 +102,16 @@ class ClassifierWeights:
     concept_ids: list[int]
     matrix: np.ndarray
     provenance: dict = field(default_factory=dict)
+    _rows: EmbeddingMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.role not in ROLES:
             raise InputError(f"unknown weights role {self.role!r}; expected one of {ROLES}")
-        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float32)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.concept_ids):
-            raise InputError(
-                f"weights shape {self.matrix.shape} does not match "
-                f"{len(self.concept_ids)} concepts"
-            )
-        if len(set(self.concept_ids)) != len(self.concept_ids):
-            raise InputError("duplicate concept_ids in classifier weights")
-        if not np.all(np.isfinite(self.matrix)):
-            raise InputError("classifier weights contain NaN or Inf")
-        if self.role == "W_zs" and len(self.concept_ids):
-            norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
-            worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > 1e-4:
-                raise InputError(f"W_zs row norm deviates from 1 by {worst:.2e}")
+        # The one matrix check: shape, duplicate ids, NaN/Inf, unit-norm W_zs rows.
+        self._rows = EmbeddingMatrix(
+            [str(cid) for cid in self.concept_ids], self.matrix, normalized=(self.role == "W_zs")
+        )
+        self.matrix = self._rows.data
 
     @property
     def dim(self) -> int:
@@ -133,12 +119,7 @@ class ClassifierWeights:
 
     def save(self, path: str) -> None:
         """Write the matrix in the embedding binary format + JSON sidecar."""
-        mat = EmbeddingMatrix(
-            [str(cid) for cid in self.concept_ids],
-            self.matrix,
-            normalized=(self.role == "W_zs"),
-        )
-        save_embeddings(mat, path)
+        save_embeddings(self._rows, path)
         with atomic_write(str(path) + ".json") as f:
             json.dump(
                 {"role": self.role, "concept_ids": self.concept_ids, "provenance": self.provenance},
@@ -179,11 +160,7 @@ def build_zeroshot(
     for concept_id, prompts in concept_prompts:
         if not prompts:
             raise InputError(f"concept {concept_id}: no prompts to embed")
-        vecs = np.stack([prompt_embeddings.vector(p) for p in prompts]).astype(np.float64)
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise InputError(f"concept {concept_id}: a prompt embedding is the zero vector")
-        rows.append(average_normalized(vecs / norms))
+        rows.append(prompt_embeddings.unit_average(prompts))
     matrix = np.stack(rows).astype(np.float32)
     return ClassifierWeights(
         role="W_zs",

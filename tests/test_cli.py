@@ -623,6 +623,58 @@ def test_judge_reruns_after_torn_cache_line(capsys, world):
     ).read_bytes()
 
 
+def test_freq_refuses_hits_for_concepts_outside_concepts(capsys, world):
+    write_jsonl(world["dir"] / "hits.jsonl", [
+        {"caption_id": 0, "concept_id": 0, "synonym": "tiger", "offset": 0},
+        {"caption_id": 1, "concept_id": 5, "synonym": "lion", "offset": 40},
+    ])
+    write_jsonl(world["dir"] / "one.jsonl", [{"concept_id": 0, "name": "tiger"}])
+    err = run_fail(capsys, [
+        "freq", "--hits", art(world, "hits.jsonl"), "--concepts", art(world, "one.jsonl"),
+        "--out", art(world, "freq.csv"), "--syn-out", art(world, "syncounts.csv"),
+    ], 2)
+    assert "[5]" in err["message"]
+    assert not (world["dir"] / "freq.csv").exists()
+    assert not (world["dir"] / "syncounts.csv").exists()
+
+
+def test_conflicting_provider_flags_exit_1(capsys, world, http_provider):
+    http_provider.route("/synonyms", lambda req: (500, {}))
+    http_provider.route("/judge", lambda req: (500, {}))
+    err = run_fail(capsys, [
+        "synonyms", "--concepts", world["concepts"], "--fixture", world["fixture"],
+        "--provider-url", http_provider.url, "--cache-dir", art(world, "cache"),
+        "--out", art(world, "x.jsonl"),
+    ], 1)
+    assert "not allowed with" in err["message"]
+    err = run_fail(capsys, [
+        "judge", "--concepts", world["concepts"], "--corpus", world["corpus"],
+        "--hits", art(world, "hits.jsonl"), "--blocklist", world["blocklist"],
+        "--judge-url", http_provider.url, "--cache-dir", art(world, "cache"),
+        "--out", art(world, "x.jsonl"),
+    ], 1)
+    assert "not allowed with" in err["message"]
+    assert http_provider.calls == []
+
+
+def test_edited_fixture_and_blocklist_start_fresh_cache_slots(capsys, world):
+    run_pipeline_through_freq(capsys, world)
+    write_jsonl(world["dir"] / "provider_fixture.jsonl", [
+        {"name": "tiger", "synonyms": ["panthera tigris"]},
+        {"name": "cat", "synonyms": []},
+        {"name": "cash machine", "synonyms": ["atm"]},
+    ])
+    write_jsonl(world["dir"] / "blocklist.jsonl", [{"name": "tiger", "reject_phrases": []}])
+    run_pipeline_through_freq(capsys, world)
+    synsets = [json.loads(line) for line in (world["dir"] / "synsets.jsonl").open()]
+    assert [s["synonyms"] for s in synsets] == [
+        ["tiger", "panthera tigris"], ["cat"], ["cash machine", "atm"],
+    ]
+    verdicts = [json.loads(line) for line in (world["dir"] / "verdicts.jsonl").open()]
+    assert all(v["relevant"] for v in verdicts)  # "tiger shark" is no longer blocked
+    assert len(list((world["dir"] / "cache").glob("synonyms_fixture_*.jsonl"))) == 2
+
+
 # ------------------------------------------------- judge seeks to offsets
 
 

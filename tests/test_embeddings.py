@@ -142,7 +142,26 @@ def test_normalized_flag_validated():
 def test_missing_key_named():
     mat = make_embeddings(["present"], dim=3)
     with pytest.raises(MissingEmbeddingError, match="absent"):
-        mat.vector("absent")
+        mat.rows(["absent"])
+
+
+def test_rows_gather_in_key_order():
+    mat = make_embeddings(["a", "b", "c"], dim=4, seed=1)
+    got = mat.rows(["c", "a", "c"])
+    assert got.dtype == np.float32
+    assert got.tobytes() == np.stack([mat.data[2], mat.data[0], mat.data[2]]).tobytes()
+    assert mat.rows([]).shape == (0, 4)
+    with pytest.raises(MissingEmbeddingError, match="'x'") as err:
+        mat.rows(["a", "x", "y"])
+    assert err.value.key == "x"  # the first missing key
+
+
+def test_unit_average_normalizes_each_row_first():
+    mat = EmbeddingMatrix(["a", "b", "z"], np.array([[3.0, 0.0], [0.0, 0.5], [0.0, 0.0]]))
+    expected = average_normalized(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert mat.unit_average(["a", "b"]).tobytes() == expected.tobytes()
+    with pytest.raises(InputError, match="'z' is the zero vector"):
+        mat.unit_average(["a", "z"])
 
 
 def test_key_row_count_mismatch():

@@ -8,6 +8,7 @@ import pytest
 import requests
 
 from conftest import fake_post
+from tally import judge as judge_module
 from tally.corpus import normalize_text, open_corpus
 from tally.errors import (
     ConsistencyError,
@@ -61,6 +62,15 @@ def test_rule_stub_bad_record(tmp_path):
         RuleStubJudge.from_jsonl(str(path))
 
 
+def test_rule_stub_default_id_follows_its_blocklists():
+    stub = RuleStubJudge({"tiger": ["tiger shark"]})
+    assert stub.judge_id.startswith("rule-stub:")
+    assert len(stub.judge_id) == len("rule-stub:") + 16
+    assert RuleStubJudge({"tiger": ["Tiger  Shark"]}).judge_id == stub.judge_id
+    assert RuleStubJudge({"tiger": ["tiger lily"]}).judge_id != stub.judge_id
+    assert RuleStubJudge({}, judge_id="strict").judge_id == "strict"
+
+
 # ------------------------------------------------------------- judge_hits
 
 
@@ -107,6 +117,23 @@ def test_judge_hits_one_verdict_per_unique_pair(tiger_concepts):
         (10, 1),
     ]
     assert len(calls) == 3
+
+
+def test_judge_hits_normalizes_no_caption_again(monkeypatch, tiger_concepts):
+    """judge_hits passes normalized text, so the rule stub does not normalize it."""
+    stub = RuleStubJudge({"tiger": ["tiger shark"]})
+    calls = []
+
+    def counting_normalize(text):
+        calls.append(text)
+        return normalize_text(text)
+
+    monkeypatch.setattr(judge_module, "normalize_text", counting_normalize)
+    hits = [MatchHit(1, 0, "tiger"), MatchHit(2, 0, "tiger")]
+    captions = {1: "a tiger", 2: "tiger shark swimming in water"}
+    outcome = judge_hits(hits, tiger_concepts, captions, stub)
+    assert [v.relevant for v in outcome.verdicts] == [True, False]
+    assert calls == []
 
 
 def test_judge_hits_missing_caption_text(tiger_concepts):
@@ -174,8 +201,10 @@ def test_cache_skips_provider_on_rerun(tmp_path, tiger_concepts):
     judge = RuleStubJudge({"tiger": ["tiger shark"]})
     first = judge_hits(hits, tiger_concepts, captions, judge, cache=VerdictCache(cache_dir))
 
+    stub_id = judge.judge_id
+
     class Dead:
-        judge_id = "rule-stub"  # same id -> same cache slots
+        judge_id = stub_id  # same id -> same cache slots
 
         def judge(self, concept, caption, definition=None):
             raise AssertionError("cache miss: provider was consulted")

@@ -201,7 +201,7 @@ def test_cache_malformed_middle_line_is_input_error(tmp_path):
 
 def test_cache_file_appends_through_one_flushed_handle(tmp_path, monkeypatch):
     """A CacheFile opens its file once for all appends, repairs a torn final
-    line on the first, and has each record on disk when append returns."""
+    line on the first, and has each record on disk when put returns."""
     path = tmp_path / "cache.jsonl"
     path.write_bytes(b'{"k": 1}\n{"k": 2')  # writer killed mid-append
     modes = []
@@ -211,13 +211,38 @@ def test_cache_file_appends_through_one_flushed_handle(tmp_path, monkeypatch):
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(lexicon, "open", counting_open, raising=False)
-    cache = CacheFile(str(path))
-    assert cache.load(lambda obj: (obj["k"], True)) == {1: True}
+    cache = CacheFile(str(path), lambda obj: (obj["k"], True))
+    assert (cache.get(1), cache.get(2)) == (True, None)
     for k in (3, 4, 5):
-        cache.append({"k": k})
+        cache.put(k, True, {"k": k})
         assert path.read_bytes().endswith(b'{"k": %d}\n' % k)
     assert path.read_bytes() == b'{"k": 1}\n{"k": 3}\n{"k": 4}\n{"k": 5}\n'
     assert modes.count("ab") == 1
+
+
+def test_cache_file_put_writes_a_key_once_across_a_reload(tmp_path):
+    path = tmp_path / "cache.jsonl"
+
+    def parse(obj):
+        return obj["k"], obj["v"]
+
+    first = CacheFile(str(path), parse)
+    first.put(1, "a", {"k": 1, "v": "a"})
+    first.put(1, "b", {"k": 1, "v": "b"})
+    del first
+    second = CacheFile(str(path), parse)
+    assert second.get(1) == "a"
+    second.put(1, "c", {"k": 1, "v": "c"})
+    second.put(2, "d", {"k": 2, "v": "d"})
+    assert path.read_text().splitlines() == ['{"k": 1, "v": "a"}', '{"k": 2, "v": "d"}']
+
+
+def test_fixture_provider_id_follows_its_table(tmp_path):
+    fixture = FixtureSynonymProvider({"tiger": ["big cat"]})
+    assert fixture.provider_id.startswith("fixture:")
+    assert len(fixture.provider_id) == len("fixture:") + 16
+    assert FixtureSynonymProvider({"tiger": ["big cat"]}).provider_id == fixture.provider_id
+    assert FixtureSynonymProvider({"tiger": ["lion"]}).provider_id != fixture.provider_id
 
 
 def test_cache_keyed_by_provider_id(tmp_path):
@@ -352,7 +377,7 @@ def test_filter_matches_brute_force_recount():
         expected = [names[i]]
         for j in range(3):
             s = f"syn{i}{j}"
-            sims = [cosine(syn_mat.vector(s), name_mat.vector(nm)) for nm in names]
+            sims = [cosine(syn_mat.rows([s])[0], name_mat.rows([nm])[0]) for nm in names]
             if sims[i] >= max(sims) - 1e-12:
                 expected.append(s)
         assert synset.synonyms == expected

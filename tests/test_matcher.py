@@ -145,6 +145,14 @@ def test_scan_counts_captions_not_occurrences(tiger_corpus, tiger_sets):
     }
 
 
+def test_count_captions_refuses_hits_outside_the_concept_list():
+    hits = [MatchHit(i, cid, "x") for i, cid in enumerate([0, 9, 5, 8, 7, 6, 3, 0])]
+    with pytest.raises(InputError, match=r"\[3, 5, 6, 7, 8\]"):
+        count_captions(hits, [0])
+    table, _ = count_captions(hits, [0, 3, 5, 6, 7, 8, 9, 4])
+    assert table.raw(0) == 2 and table.raw(4) == 0
+
+
 def test_scan_partial_mode_counts(tiger_corpus, tiger_sets):
     path, _ = tiger_corpus
     result = scan(open_corpus(path), compile(tiger_sets, mode="partial"))

@@ -88,7 +88,7 @@ def test_retrieval_matches_full_sort_oracle(k):
             rng, n_captions=int(rng.integers(1, 40)), n_concepts=int(rng.integers(1, 5))
         )
         result = retrieve_balanced(hits, captions, queries, k=k)
-        vectors = {int(key): captions.vector(key) for key in captions.keys}
+        vectors = {int(key): row for key, row in zip(captions.keys, captions.data)}
         for cid, query in queries.items():
             candidates = sorted({h.caption_id for h in hits if h.concept_id == cid})
             expected = full_sort_retrieval(candidates, vectors, query, k)

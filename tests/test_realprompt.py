@@ -120,6 +120,25 @@ def test_zeroshot_rows_must_be_unit_norm():
     ClassifierWeights("W", [0, 1], mat)  # trained weights are unconstrained
 
 
+@pytest.mark.parametrize("excess", [5e-5, 2e-4])
+def test_zeroshot_weights_check_rows_as_a_normalized_matrix_does(excess):
+    """W_zs and a normalized EmbeddingMatrix accept and refuse the same rows,
+    with the same message: one check, one tolerance."""
+    rows = np.array([[1.0, 0.0], [0.0, 1.0 + excess]], dtype=np.float32)
+    verdicts = []
+    for build in (
+        lambda: ClassifierWeights("W_zs", [0, 1], rows),
+        lambda: EmbeddingMatrix(["0", "1"], rows, normalized=True),
+    ):
+        try:
+            build()
+            verdicts.append("accepted")
+        except InputError as e:
+            verdicts.append(str(e))
+    assert verdicts[0] == verdicts[1]
+    assert (verdicts[0] == "accepted") == (excess < 1e-4)
+
+
 def test_weights_save_load_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     w = ClassifierWeights("W", [3, 1, 2], rng.standard_normal((3, 6)).astype(np.float32),
