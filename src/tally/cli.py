@@ -431,8 +431,6 @@ def cmd_retrieve(args) -> dict:
 
 
 def cmd_train(args) -> dict:
-    import numpy as np
-
     from . import reallinear
     from .realprompt import ClassifierWeights
 
@@ -441,18 +439,15 @@ def cmd_train(args) -> dict:
     embs = _parse_embeddings(args.embeddings)
     images = _require_embedding(embs, "images")
 
-    row_of = {cid: i for i, cid in enumerate(init.concept_ids)}
-    unknown = sorted(set(retrieval.ranked) - set(row_of))
+    unknown = sorted(set(retrieval.ranked) - set(init.concept_ids))
     if unknown:
         raise InputError(f"retrieved rows for concepts not in --init: {unknown[:5]}")
-    keys = []
-    labels = []
-    for cid in init.concept_ids:
+    keys, labels = [], []
+    for row, cid in enumerate(init.concept_ids):
         for caption_id, _ in retrieval.ranked.get(cid, []):
             keys.append(str(caption_id))
-            labels.append(row_of[cid])
-    image_features = images.rows(keys).astype(np.float64)
-    image_labels = np.asarray(labels, dtype=np.int64)
+            labels.append(row)
+    image_features = images.rows(keys)  # float32; train_crossmodal widens it once
 
     config = reallinear.TrainConfig(
         learning_rate=args.lr,
@@ -471,7 +466,7 @@ def cmd_train(args) -> dict:
         text_features, text_labels = reallinear.build_text_examples(sets, synonym_embs, init)
 
     trained = reallinear.train_crossmodal(
-        image_features, image_labels, text_features, text_labels, config, init
+        image_features, labels, text_features, text_labels, config, init
     )
     trained.save(args.out)
     summary = {

@@ -19,6 +19,7 @@ by byte arithmetic rather than a deserializer crash.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -112,43 +113,47 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
             f.write(matrix.data[i].astype("<f4", copy=False).tobytes())
 
 
-def _take(buf: bytes, pos: int, n: int, what: str) -> tuple[bytes, int]:
-    if pos + n > len(buf):
-        raise EmbeddingFormatError(
-            f"truncated file: expected {n} more bytes for {what} "
-            f"at offset {pos}, only {len(buf) - pos} remain"
-        )
-    return buf[pos : pos + n], pos + n
-
-
 def load_embeddings(path: str) -> EmbeddingMatrix:
-    """Load an embedding file.
+    """Load an embedding file, reading each vector straight into its row.
 
     load_embeddings(save_embeddings(M)) reproduces M bit-exactly.
     """
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic, pos = _take(buf, 0, 4, "magic")
-    if magic != MAGIC:
-        raise EmbeddingFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    header, pos = _take(buf, pos, struct.calcsize("<IIQI"), "header")
-    version, dim, count, flags = struct.unpack("<IIQI", header)
-    if version != VERSION:
-        raise EmbeddingFormatError(f"unsupported version {version}")
-    keys: list[str] = []
-    rows = np.empty((count, dim), dtype=np.float32)
-    vec_bytes = 4 * dim
-    for i in range(count):
-        raw_len, pos = _take(buf, pos, 4, f"key length of record {i}")
-        (key_len,) = struct.unpack("<I", raw_len)
-        raw_key, pos = _take(buf, pos, key_len, f"key of record {i}")
-        raw_vec, pos = _take(buf, pos, vec_bytes, f"vector of record {i}")
-        keys.append(raw_key.decode("utf-8"))
-        rows[i] = np.frombuffer(raw_vec, dtype="<f4")
-    if pos != len(buf):
-        raise EmbeddingFormatError(
-            f"trailing garbage: file has {len(buf)} bytes, records end at {pos}"
-        )
+    with open(path, "rb", buffering=1 << 20) as f:
+        size = os.fstat(f.fileno()).st_size
+        pos = 0
+
+        def claim(n: int, what: str, record: int | None = None) -> int:
+            nonlocal pos
+            if pos + n > size:
+                if record is not None:
+                    what = f"{what} of record {record}"
+                raise EmbeddingFormatError(
+                    f"truncated file: expected {n} more bytes for {what} "
+                    f"at offset {pos}, only {size - pos} remain"
+                )
+            pos += n
+            return n
+
+        magic = f.read(claim(4, "magic"))
+        if magic != MAGIC:
+            raise EmbeddingFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        version, dim, count, flags = struct.unpack("<IIQI", f.read(claim(20, "header")))
+        if version != VERSION:
+            raise EmbeddingFormatError(f"unsupported version {version}")
+        vec_bytes = 4 * dim
+        if count * (4 + vec_bytes) > size - pos:  # rows that cannot fit: refuse, not allocate
+            claim(count * (4 + vec_bytes), f"{count} records of dim {dim}")
+        keys: list[str] = []
+        rows = np.empty((count, dim), dtype="<f4")
+        for i in range(count):
+            key_len = int.from_bytes(f.read(claim(4, "key length", i)), "little")
+            keys.append(f.read(claim(key_len, "key", i)).decode("utf-8"))
+            claim(vec_bytes, "vector", i)
+            f.readinto(rows[i])  # writers replace files whole, so no read comes up short
+        if pos != size:
+            raise EmbeddingFormatError(
+                f"trailing garbage: file has {size} bytes, records end at {pos}"
+            )
     return EmbeddingMatrix(keys, rows, normalized=bool(flags & FLAG_NORMALIZED))
 
 

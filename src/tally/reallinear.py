@@ -187,18 +187,18 @@ def softmax_xent_loss_and_grad(
     weights = np.asarray(weights, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    logits = x @ weights.T  # (n × C)
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = x.shape[0]
-    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    grad = (delta.T @ x) / n
+    picked = (np.arange(x.shape[0]), y)
+    probs = x @ weights.T  # (n × C) logits, turned into probabilities in place
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[picked])))
+    probs[picked] -= 1.0
+    grad = probs.T @ x
+    grad /= x.shape[0]
     if weight_decay:
-        loss += 0.5 * weight_decay * float(np.sum(weights**2))
-        grad = grad + weight_decay * weights
+        loss += 0.5 * weight_decay * float(np.vdot(weights, weights))
+        grad += weight_decay * weights
     return loss, grad
 
 
@@ -248,9 +248,10 @@ def train_crossmodal(
     class to keep at least one image example (a classifier row with no
     gradient signal would silently stay at init). epochs=0 returns the
     initialization bit-exactly. Internally float64; the returned matrix is
-    float32 like every ClassifierWeights.
+    float32 like every ClassifierWeights. Float32 features are widened
+    once, by the copy that pools them.
     """
-    image_features = np.asarray(image_features, dtype=np.float64)
+    image_features = np.asarray(image_features)
     image_labels = np.asarray(image_labels, dtype=np.int64)
     if image_features.ndim != 2 or image_features.shape[0] != image_labels.shape[0]:
         raise InputError("image features and labels disagree in length")
@@ -263,12 +264,10 @@ def train_crossmodal(
     if config.mode == "cross_modal":
         if text_features is None or text_labels is None:
             raise InputError("cross_modal mode requires text examples")
-        text_features = np.asarray(text_features, dtype=np.float64)
-        text_labels = np.asarray(text_labels, dtype=np.int64)
-        x = np.concatenate([image_features, text_features], axis=0)
-        y = np.concatenate([image_labels, text_labels], axis=0)
+        x = np.concatenate([image_features, text_features], dtype=np.float64)
+        y = np.concatenate([image_labels, text_labels], dtype=np.int64)
     else:
-        x, y = image_features, image_labels
+        x, y = np.asarray(image_features, dtype=np.float64), image_labels
         present = set(int(c) for c in np.unique(y))
         missing = [init.concept_ids[i] for i in range(n_classes) if i not in present]
         if missing:
@@ -305,7 +304,8 @@ def train_crossmodal(
                 raise DivergenceError(step=step, epoch=epoch)
             # Cosine annealing from learning_rate to 0 across total_steps.
             lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
-            w -= lr * grad
+            grad *= lr
+            w -= grad
             step += 1
     return ClassifierWeights(
         role="W",
@@ -342,7 +342,7 @@ def evaluate(
     gold_concept_ids: list[int],
 ) -> tuple[float, AccuracyTable]:
     """Mean per-class accuracy of the classifier on labeled image features."""
-    from .realprompt import classify_batch
+    from .realprompt import classify_batch  # looked up per call: a later wrapper is seen
 
     image_features = np.asarray(image_features, dtype=np.float32)
     if image_features.ndim != 2 or image_features.shape[0] != len(gold_concept_ids):

@@ -390,6 +390,23 @@ def test_input_errors_exit_2(capsys, world):
     run_fail(capsys, ["report", "--run-dir", art(world, "no_such_run"), "--out", art(world, "r.md")], 2)
 
 
+def test_eval_refuses_an_oversized_row_count_as_a_format_error(capsys, tmp_path):
+    ClassifierWeights("W", [0], np.ones((1, 2), dtype=np.float32)).save(str(tmp_path / "w.bin"))
+    images = tmp_path / "images.bin"
+    save_embeddings(EmbeddingMatrix(["a", "b"], np.ones((2, 2), dtype=np.float32)), str(images))
+    raw = bytearray(images.read_bytes())
+    raw[12:20] = (2**40).to_bytes(8, "little")  # the header's row count
+    images.write_bytes(bytes(raw))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,concept_id\na,0\n")
+    err = run_fail(capsys, [
+        "eval", "--weights", str(tmp_path / "w.bin"), "--embeddings", f"images={images}",
+        "--labels", str(labels), "--out", str(tmp_path / "acc.csv"),
+    ], 2)
+    assert err["error"] == "EmbeddingFormatError"
+    assert "more bytes" in err["message"]
+
+
 def test_retrieve_refuses_verdicts_missing_a_hit_pair(capsys, world):
     """retrieve applies the same verdict-consistency check as freq."""
     run_pipeline_through_freq(capsys, world)

@@ -60,6 +60,22 @@ def test_binary_layout_matches_manual_packing(tmp_path):
     assert path.read_bytes() == expected
 
 
+def test_round_trip_multibyte_keys_and_zero_rows(tmp_path):
+    mat = make_embeddings(["猫", "naïve café", "🐯 tiger", ""], dim=6, seed=4)
+    path = tmp_path / "m.cemb"
+    save_embeddings(mat, str(path))
+    loaded = load_embeddings(str(path))
+    assert loaded.keys == mat.keys
+    assert loaded.data.tobytes() == mat.data.tobytes()
+
+    empty = EmbeddingMatrix([], np.empty((0, 3), dtype=np.float32))
+    save_embeddings(empty, str(path))
+    assert path.stat().st_size == 4 + struct.calcsize("<IIQI")
+    loaded = load_embeddings(str(path))
+    assert loaded.keys == [] and loaded.data.shape == (0, 3)
+    assert loaded.data.dtype == np.float32
+
+
 def test_normalized_flag_round_trips(tmp_path):
     mat = make_embeddings(["a", "b"], dim=4, seed=2, normalized=True)
     path = tmp_path / "m.cemb"
@@ -96,6 +112,32 @@ def test_truncated_file_names_byte_counts(tmp_path, cut):
     clipped.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(EmbeddingFormatError, match=r"expected \d+ more bytes") as err:
         load_embeddings(str(clipped))
+    assert "remain" in str(err.value)
+
+
+def test_every_cut_point_raises_format_error_only(tmp_path):
+    mat = make_embeddings(["ab", "é"], dim=3, seed=0)
+    path = tmp_path / "m.cemb"
+    save_embeddings(mat, str(path))
+    raw = path.read_bytes()
+    clipped = tmp_path / "clipped.cemb"
+    for cut in range(len(raw)):
+        clipped.write_bytes(raw[:cut])
+        with pytest.raises(EmbeddingFormatError, match=r"expected \d+ more bytes"):
+            load_embeddings(str(clipped))
+
+
+def test_oversized_row_count_refused_before_allocating(tmp_path):
+    """A count whose rows cannot fit in the file is a format error, not an
+    attempt to allocate them (2**40 rows of dim 3 would be 12 TiB)."""
+    mat = make_embeddings(["ab", "cd"], dim=3, seed=0)
+    path = tmp_path / "m.cemb"
+    save_embeddings(mat, str(path))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, 4 + 4 + 4, 2**40)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(EmbeddingFormatError, match=r"expected \d+ more bytes") as err:
+        load_embeddings(str(path))
     assert "remain" in str(err.value)
 
 

@@ -204,6 +204,18 @@ def test_gradient_matches_finite_differences(wd):
         assert rel < 1e-6
 
 
+def test_step_leaves_its_arguments_unmodified():
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((4, 5))
+    x = rng.standard_normal((6, 5))
+    y = rng.integers(0, 4, size=6)
+    w0, x0, y0 = w.copy(), x.copy(), y.copy()
+    softmax_xent_loss_and_grad(w, x, y, weight_decay=1e-2)
+    assert w.tobytes() == w0.tobytes()
+    assert x.tobytes() == x0.tobytes()
+    assert y.tobytes() == y0.tobytes()
+
+
 # ----------------------------------------------------------------- config
 
 
@@ -312,6 +324,71 @@ def test_identical_seed_identical_weights():
 
     assert run(3).matrix.tobytes() == run(3).matrix.tobytes()
     assert run(3).matrix.tobytes() != run(4).matrix.tobytes()
+
+
+def reference_grad(w, xb, yb, weight_decay):
+    """The softmax cross-entropy gradient with out-of-place arithmetic: a new
+    array for the logits' softmax, the mean and the weight decay term."""
+    logits = xb @ w.T
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    delta = probs
+    delta[np.arange(xb.shape[0]), yb] -= 1.0
+    grad = (delta.T @ xb) / xb.shape[0]
+    if weight_decay:
+        grad = grad + weight_decay * w
+    return grad
+
+
+def reference_sgd(image_features, image_labels, text_features, text_labels, config, init):
+    """The SGD loop with out-of-place arithmetic throughout."""
+    x = np.asarray(image_features, dtype=np.float64)
+    y = np.asarray(image_labels, dtype=np.int64)
+    if config.mode == "cross_modal":
+        x = np.concatenate([x, np.asarray(text_features, dtype=np.float64)], axis=0)
+        y = np.concatenate([y, np.asarray(text_labels, dtype=np.int64)], axis=0)
+    w = init.matrix.astype(np.float64)
+    n = x.shape[0]
+    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
+    total_steps = steps_per_epoch * config.epochs
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for b in range(steps_per_epoch):
+            batch = order[b * config.batch_size : (b + 1) * config.batch_size]
+            grad = reference_grad(w, x[batch], y[batch], config.weight_decay)
+            lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+            w -= lr * grad
+            step += 1
+    return w.astype(np.float32)
+
+
+@pytest.mark.parametrize("mode", ["cross_modal", "image_only"])
+@pytest.mark.parametrize("wd", [0.0, 1e-2])
+def test_training_matches_out_of_place_reference_bit_for_bit(mode, wd):
+    rng = np.random.default_rng(21)
+    c, d, n_image = 5, 16, 43
+    init = ClassifierWeights("W_zs", list(range(c)), unit(rng.standard_normal((c, d))))
+    image_feats = rng.standard_normal((n_image, d)).astype(np.float32)
+    image_labels = np.arange(n_image) % c
+    text_feats = rng.standard_normal((2 * c, d))
+    text_labels = np.arange(2 * c) % c
+    # The float32 result hides last-bit float64 differences, so the step's
+    # gradient is compared in float64 too, for a full batch of 7 and the
+    # ragged last batch of 43 % 7 = 1 or 53 % 7 = 4 examples.
+    w = init.matrix.astype(np.float64)
+    for n in (7, 1, 4):
+        xb, yb = rng.standard_normal((n, d)), rng.integers(0, c, size=n)
+        _, grad = softmax_xent_loss_and_grad(w, xb, yb, weight_decay=wd)
+        assert grad.tobytes() == reference_grad(w, xb, yb, wd).tobytes()
+    config = TrainConfig(learning_rate=0.5, weight_decay=wd, batch_size=7, epochs=10,
+                         seed=9, mode=mode)
+    got = train_crossmodal(image_feats, image_labels, text_feats, text_labels, config, init)
+    want = reference_sgd(image_feats, image_labels, text_feats, text_labels, config, init)
+    assert got.matrix.tobytes() == want.tobytes()
+    assert got.matrix.tobytes() != init.matrix.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
