@@ -31,7 +31,7 @@ from .analytics import AccuracyTable, FrequencyTable
 from .corpus import open_corpus, read_captions_at, shard_corpus
 from .defaults import DEFAULT_K, TRAIN_MODES
 from .errors import DivergenceError, InputError, ProviderError, TallyError
-from .io import atomic_write, read_csv, read_jsonl, write_csv
+from .io import atomic_write, read_csv, read_jsonl, string_list, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,8 +123,8 @@ def cmd_synonyms(args) -> dict:
         provider = lexicon.HttpSynonymProvider(args.provider_url, timeout=args.timeout)
     else:
         provider = lexicon.FixtureSynonymProvider.from_jsonl(args.fixture)
-    cache = lexicon.SynonymCache(_cache_dir(args))
-    sets = [lexicon.expand_synonyms(c, provider, cache) for c in concepts]
+    provider = lexicon.SynonymCache(_cache_dir(args), provider)
+    sets = [lexicon.expand_synonyms(c, provider) for c in concepts]
 
     dropped = 0
     if args.filter:
@@ -198,7 +198,7 @@ def cmd_judge(args) -> dict:
                 read_jsonl(
                     args.definitions,
                     "definitions record",
-                    lambda obj: (int(obj["concept_id"]), [str(d) for d in obj["definitions"]]),
+                    lambda obj: (int(obj["concept_id"]), string_list(obj["definitions"], "definitions")),
                 )
             )
         else:
@@ -223,13 +223,11 @@ def cmd_judge(args) -> dict:
         raise UsageError("--hits is required unless --precision is given")
     hits = matcher.load_hits(args.hits)
     captions = read_captions_at(args.corpus, args.format, _hit_offsets(hits, args.hits))
-    cache = judge_mod.VerdictCache(_cache_dir(args))
     outcome = judge_mod.judge_hits(
         hits,
         concepts,
         captions,
-        judge,
-        cache=cache,
+        judge_mod.VerdictCache(_cache_dir(args), judge),
         max_attempts=args.max_attempts,
         backoff_s=args.backoff,
         max_workers=args.workers,
@@ -400,6 +398,10 @@ def cmd_retrieve(args) -> dict:
     embs = _parse_embeddings(args.embeddings)
     caption_embs = _require_embedding(embs, "captions")
     synonym_embs = _require_embedding(embs, "synonyms")
+    if caption_embs.dim != synonym_embs.dim:
+        raise InputError(
+            f"captions embedding dim {caption_embs.dim} != synonyms embedding dim {synonym_embs.dim}"
+        )
     hits = matcher.load_hits(args.hits)
 
     restrict = None

@@ -37,6 +37,18 @@ def read_jsonl(path: str, what: str, parse) -> list:
     return out
 
 
+def string_list(value, what: str) -> list[str]:
+    """A JSON list's items as strings; a bare string is a TypeError, not a list of letters."""
+    if isinstance(value, str):
+        raise TypeError(f"{what} is a string, not a list")
+    return [str(item) for item in value]
+
+
+def read_table(path: str, what: str, field: str) -> dict[str, list[str]]:
+    """{name: [strings]} from JSONL records {"name", field}; a later line for a name wins."""
+    return dict(read_jsonl(path, what, lambda obj: (str(obj["name"]), string_list(obj[field], field))))
+
+
 def read_csv(path: str, columns, what: str, parse) -> list:
     """parse(row) for each row of a CSV file whose header holds `columns`."""
     out = []

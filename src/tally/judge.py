@@ -12,11 +12,11 @@ Judges are pluggable:
   RuleStubJudge — offline stand-in driven by per-concept blocklists: a
                caption is rejected iff it contains a blocklisted phrase.
 
-Verdicts are cached on disk keyed by (judge_id, concept_id, caption hash),
-so re-runs are deterministic and never re-query the provider. Transient
-judge failures retry with exponential backoff; when the budget is spent the
-pair is reported undecided and excluded from filtered counts rather than
-silently counted either way.
+A VerdictCache wraps a judge and answers from disk, keyed by (judge_id,
+concept_id, caption hash), so re-runs are deterministic and never re-query
+the provider. Transient judge failures retry with exponential backoff; when
+the budget is spent the pair is reported undecided and excluded from
+filtered counts rather than silently counted either way.
 """
 
 from __future__ import annotations
@@ -35,11 +35,19 @@ from .errors import (
     ProviderError,
     UndefinedPrecisionError,
 )
-from .io import read_jsonl, write_jsonl
-from .lexicon import CacheFile, Concept, ConceptSet, table_id
+from .io import read_jsonl, read_table, write_jsonl
+from .lexicon import CacheFile, Concept, ConceptSet, post_json, table_id
 from .matcher import MatchHit, count_captions
 
 logger = logging.getLogger(__name__)
+
+
+def _flag(obj: dict, key: str = "relevant") -> bool:
+    """obj[key] if it is a JSON bool; "false" or 0 is a TypeError, not read through bool()."""
+    value = obj[key]
+    if not isinstance(value, bool):
+        raise TypeError(f"{key!r} is {type(value).__name__}, not bool")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class ValidationSet:
     @classmethod
     def from_jsonl(cls, path: str) -> "ValidationSet":
         def parse(obj) -> tuple[int, int, bool]:
-            return int(obj["caption_id"]), int(obj["concept_id"]), bool(obj["gold_relevant"])
+            return int(obj["caption_id"]), int(obj["concept_id"]), _flag(obj, "gold_relevant")
 
         pairs = read_jsonl(path, "validation pair", parse)
         if not pairs:
@@ -93,12 +101,7 @@ class RuleStubJudge:
     @classmethod
     def from_jsonl(cls, path: str) -> "RuleStubJudge":
         """Load JSONL of {"name": <concept name>, "reject_phrases": [...]}."""
-        rows = read_jsonl(
-            path,
-            "blocklist record",
-            lambda obj: (str(obj["name"]), [str(p) for p in obj["reject_phrases"]]),
-        )
-        return cls(dict(rows))
+        return cls(read_table(path, "blocklist record", "reject_phrases"))
 
     def judge(self, concept: Concept, caption: str, definition: str | None = None) -> bool:
         """`caption` is normalized text, as judge_hits and definition_precision pass it."""
@@ -117,25 +120,15 @@ class HttpJudge:
         self.timeout = timeout
 
     def judge(self, concept: Concept, caption: str, definition: str | None = None) -> bool:
-        import requests  # only HTTP judging pays for it
-
         payload = {
             "concept": concept.name,
             "definition": concept.definition if definition is None else definition,
             "caption": caption,
         }
-        try:
-            resp = requests.post(self.base_url + "/judge", json=payload, timeout=self.timeout)
-            resp.raise_for_status()
-            out = resp.json()
-            relevant = out["relevant"]
-            if not isinstance(relevant, bool):
-                raise TypeError(f"'relevant' is {type(relevant).__name__}, not bool")
-            return relevant
-        except (requests.RequestException, KeyError, TypeError, ValueError) as e:
-            raise ProviderError(
-                f"judge failed for concept {concept.concept_id}: {e}", concept.concept_id
-            ) from e
+        return post_json(
+            self.base_url + "/judge", payload, self.timeout, _flag,
+            f"judge failed for concept {concept.concept_id}", concept.concept_id,
+        )
 
 
 def caption_hash(norm_text: str) -> str:
@@ -143,19 +136,29 @@ def caption_hash(norm_text: str) -> str:
 
 
 class VerdictCache:
-    """Append-only JSONL cache of verdicts keyed (judge_id, concept_id, caption hash)."""
+    """A judge that answers from cache_dir/verdicts.jsonl, verdicts keyed (judge_id,
+    concept_id, caption hash), and asks the wrapped judge only on a miss. Its `judge`
+    takes no definition, so definition tuning never reads a cached verdict."""
 
-    def __init__(self, cache_dir: str):
-        self.cache_dir = str(cache_dir)
-        os.makedirs(self.cache_dir, exist_ok=True)
-        self.path = os.path.join(self.cache_dir, "verdicts.jsonl")
+    def __init__(self, cache_dir: str, judge):
+        os.makedirs(cache_dir, exist_ok=True)
+        self.judge_id = judge.judge_id
+        self._judge = judge
         self._file = CacheFile(
-            self.path,
+            os.path.join(cache_dir, "verdicts.jsonl"),
             lambda obj: (
                 (obj["judge_id"], int(obj["concept_id"]), obj["caption_sha256"]),
-                bool(obj["relevant"]),
+                _flag(obj),
             ),
         )
+
+    def judge(self, concept: Concept, caption: str) -> bool:
+        cap_hash = caption_hash(caption)
+        relevant = self.get(self.judge_id, concept.concept_id, cap_hash)
+        if relevant is None:
+            relevant = self._judge.judge(concept, caption)
+            self.put(self.judge_id, concept.concept_id, cap_hash, relevant)
+        return relevant
 
     def get(self, judge_id: str, concept_id: int, cap_hash: str) -> bool | None:
         return self._file.get((judge_id, concept_id, cap_hash))
@@ -196,7 +199,6 @@ def judge_hits(
     captions: dict[int, str],
     judge,
     *,
-    cache: VerdictCache | None = None,
     max_attempts: int = 3,
     backoff_s: float = 0.5,
     max_workers: int = 1,
@@ -204,10 +206,11 @@ def judge_hits(
     """One verdict per unique (caption, concept) pair among the hits.
 
     `captions` maps caption_id -> normalized text (only ids appearing in
-    hits are required). Provider failures retry up to max_attempts with
-    exponential backoff; an exhausted budget marks the pair undecided
-    rather than failing the run. Verdict order follows first appearance in
-    the hit stream regardless of worker count.
+    hits are required); pass a VerdictCache as `judge` to cache verdicts.
+    Provider failures retry up to max_attempts with exponential backoff; an
+    exhausted budget marks the pair undecided rather than failing the run.
+    Verdict order follows first appearance in the hit stream regardless of
+    worker count.
     """
     pairs: list[tuple[int, int]] = []
     seen = set()
@@ -223,19 +226,10 @@ def judge_hits(
 
     def decide(pair: tuple[int, int]) -> JudgeVerdict | tuple[int, int]:
         caption_id, concept_id = pair
-        concept = concepts[concept_id]
-        text = captions[caption_id]
-        cap_hash = caption_hash(text)
-        if cache is not None:
-            hit = cache.get(judge.judge_id, concept_id, cap_hash)
-            if hit is not None:
-                return JudgeVerdict(caption_id, concept_id, hit, judge.judge_id)
         last_error: Exception | None = None
         for attempt in range(max_attempts):
             try:
-                relevant = judge.judge(concept, text)
-                if cache is not None:
-                    cache.put(judge.judge_id, concept_id, cap_hash, relevant)
+                relevant = judge.judge(concepts[concept_id], captions[caption_id])
                 return JudgeVerdict(caption_id, concept_id, relevant, judge.judge_id)
             except ProviderError as e:
                 last_error = e
@@ -359,7 +353,7 @@ def load_verdicts(path: str) -> JudgeOutcome:
         return JudgeVerdict(
             int(obj["caption_id"]),
             int(obj["concept_id"]),
-            bool(obj["relevant"]),
+            _flag(obj),
             str(obj.get("judge_id", "")),
         )
 

@@ -8,8 +8,8 @@ part of the contract (ties in downstream argmaxes resolve by list position).
 
 Providers are pluggable: an HTTP endpoint (POST /synonyms {"name": ...} ->
 {"synonyms": [...]}) for real runs, a fixture file for tests and offline
-work. Responses are cached on disk per provider, keyed by concept name, so
-re-runs are deterministic and free.
+work. A SynonymCache wraps one provider and answers from a file of its
+responses, keyed by concept name, so re-runs are deterministic and free.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .corpus import normalize_text
 from .errors import InputError, ProviderError
-from .io import read_jsonl, write_jsonl
+from .io import read_jsonl, read_table, string_list, write_jsonl
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingMatrix
@@ -141,15 +141,24 @@ class FixtureSynonymProvider:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "FixtureSynonymProvider":
-        rows = read_jsonl(
-            path,
-            "synonym record",
-            lambda obj: (str(obj["name"]), [str(s) for s in obj["synonyms"]]),
-        )
-        return cls(dict(rows))
+        return cls(read_table(path, "synonym record", "synonyms"))
 
     def synonyms_for(self, name: str) -> list[str]:
         return list(self.table.get(name, []))
+
+
+def post_json(url: str, payload: dict, timeout: float, parse, failure: str, concept_id=None):
+    """POST payload as JSON and return parse(reply). A transport, status,
+    JSON or reply-shape failure (KeyError/TypeError/ValueError from parse)
+    is a ProviderError "<failure>: <cause>" carrying concept_id."""
+    import requests  # only HTTP providers pay for it
+
+    try:
+        resp = requests.post(url, json=payload, timeout=timeout)
+        resp.raise_for_status()
+        return parse(resp.json())
+    except (requests.RequestException, KeyError, TypeError, ValueError) as e:
+        raise ProviderError(f"{failure}: {e}", concept_id) from e
 
 
 class HttpSynonymProvider:
@@ -161,17 +170,11 @@ class HttpSynonymProvider:
         self.timeout = timeout
 
     def synonyms_for(self, name: str) -> list[str]:
-        import requests  # only HTTP synonym expansion pays for it
-
-        try:
-            resp = requests.post(
-                self.base_url + "/synonyms", json={"name": name}, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-            return [str(s) for s in payload["synonyms"]]
-        except (requests.RequestException, KeyError, TypeError, ValueError) as e:
-            raise ProviderError(f"synonym provider failed for {name!r}: {e}") from e
+        return post_json(
+            self.base_url + "/synonyms", {"name": name}, self.timeout,
+            lambda reply: string_list(reply["synonyms"], "synonyms"),
+            f"synonym provider failed for {name!r}",
+        )
 
 
 class CacheFile:
@@ -239,39 +242,31 @@ class CacheFile:
 
 
 class SynonymCache:
-    """On-disk JSONL cache of provider responses, one file per provider id.
+    """A provider that answers from cache_dir/synonyms_<id>_<sha256 of id>.jsonl, the
+    wrapped provider's raw responses {"name", "synonyms"} (before normalization, so
+    changing the normalizer never invalidates it), and asks that provider only on a miss."""
 
-    Lines are {"name": <concept name>, "synonyms": [...]} — the raw provider
-    response, before normalization, so changing the normalizer never
-    invalidates a cache.
-    """
+    def __init__(self, cache_dir: str, provider):
+        os.makedirs(cache_dir, exist_ok=True)
+        self._provider = provider
+        self.provider_id = provider.provider_id
+        safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in self.provider_id)
+        digest = hashlib.sha256(self.provider_id.encode("utf-8")).hexdigest()[:8]
+        self._file = CacheFile(
+            os.path.join(cache_dir, f"synonyms_{safe}_{digest}.jsonl"),
+            lambda obj: (obj["name"], string_list(obj["synonyms"], "synonyms")),
+        )
 
-    def __init__(self, cache_dir: str):
-        self.cache_dir = str(cache_dir)
-        os.makedirs(self.cache_dir, exist_ok=True)
-        self._files: dict[str, CacheFile] = {}
-
-    def _file(self, provider_id: str) -> CacheFile:
-        file = self._files.get(provider_id)
-        if file is None:
-            safe = "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in provider_id)
-            path = os.path.join(self.cache_dir, f"synonyms_{safe}.jsonl")
-            file = CacheFile(path, lambda obj: (obj["name"], list(obj["synonyms"])))
-            # setdefault is atomic: racing threads share whichever file won
-            file = self._files.setdefault(provider_id, file)
-        return file
-
-    def get(self, provider_id: str, name: str) -> list[str] | None:
-        return self._file(provider_id).get(name)
-
-    def put(self, provider_id: str, name: str, synonyms: list[str]) -> None:
-        self._file(provider_id).put(name, list(synonyms), {"name": name, "synonyms": synonyms})
+    def synonyms_for(self, name: str) -> list[str]:
+        synonyms = self._file.get(name)
+        if synonyms is None:
+            synonyms = self._provider.synonyms_for(name)
+            self._file.put(name, synonyms, {"name": name, "synonyms": synonyms})
+        return synonyms
 
 
-def expand_synonyms(
-    concept: Concept, provider, cache: SynonymCache | None = None
-) -> SynonymSet:
-    """Build the concept's SynonymSet from a provider (cache consulted first).
+def expand_synonyms(concept: Concept, provider) -> SynonymSet:
+    """Build the concept's SynonymSet from a provider (a SynonymCache, to cache it).
 
     The normalized original name always comes first; provider suggestions
     follow in response order, normalized, with duplicates (including of the
@@ -284,15 +279,11 @@ def expand_synonyms(
         raise InputError(
             f"concept {concept.concept_id}: name {concept.name!r} normalizes to nothing"
         )
-    raw = cache.get(provider.provider_id, concept.name) if cache else None
-    if raw is None:
-        try:
-            raw = provider.synonyms_for(concept.name)
-        except ProviderError as e:
-            e.concept_id = concept.concept_id
-            raise
-        if cache:
-            cache.put(provider.provider_id, concept.name, raw)
+    try:
+        raw = provider.synonyms_for(concept.name)
+    except ProviderError as e:
+        e.concept_id = concept.concept_id
+        raise
     if not raw:
         logger.warning(
             "concept %d (%r): provider %s returned no synonyms; using the name alone",
@@ -362,8 +353,8 @@ def load_synonym_sets(path: str) -> list[SynonymSet]:
     """Read the synonyms artifact: JSONL {"concept_id","name","synonyms","provenance"}."""
 
     def parse(obj) -> SynonymSet:
-        synonyms = [str(s) for s in obj["synonyms"]]
-        provenance = [str(t) for t in obj.get("provenance", [])]
+        synonyms = string_list(obj["synonyms"], "synonyms")
+        provenance = string_list(obj.get("provenance", []), "provenance")
         if not provenance:
             provenance = [PROVENANCE_ORIGINAL] + [PROVENANCE_PROVIDER] * (len(synonyms) - 1)
         return SynonymSet(int(obj["concept_id"]), synonyms, provenance, str(obj.get("name", "")))

@@ -103,7 +103,8 @@ def retrieve_balanced(
     """Top-K captions per concept by cosine to the concept query.
 
     Candidates are the captions that hit the concept (optionally restricted
-    to judged-relevant (caption, concept) pairs via `restrict_to`). Ties
+    to judged-relevant (caption, concept) pairs via `restrict_to`); a hit for
+    a concept without a query is an InputError. Ties
     break by ascending caption_id. Concepts with fewer than K candidates
     keep everything they have — the shortfall is visible on the result, not
     an error, because sparse tail concepts are the expected case, not a
@@ -111,10 +112,11 @@ def retrieve_balanced(
     """
     if k < 1:
         raise InputError(f"K must be >= 1, got {k}")
+    unknown = sorted({h.concept_id for h in hits}.difference(queries))
+    if unknown:
+        raise InputError(f"hits for concepts without synonym sets: {unknown[:5]}")
     candidates: dict[int, set[int]] = {cid: set() for cid in queries}
     for h in hits:
-        if h.concept_id not in candidates:
-            continue
         if restrict_to is not None and (h.caption_id, h.concept_id) not in restrict_to:
             continue
         candidates[h.concept_id].add(h.caption_id)
@@ -213,6 +215,8 @@ def build_text_examples(
     per concept's prompt-averaged name row taken from W_zs. Returns
     (features, labels) with labels as row indices into zeroshot.concept_ids.
     """
+    if synonym_embeddings.dim != zeroshot.dim:
+        raise InputError(f"synonyms embedding dim {synonym_embeddings.dim} != weights dim {zeroshot.dim}")
     row_of = {cid: i for i, cid in enumerate(zeroshot.concept_ids)}
     feats = []
     labels = []
@@ -280,14 +284,6 @@ def train_crossmodal(
         raise InputError("a training label is outside the class range")
 
     w = init.matrix.astype(np.float64)
-    if config.epochs == 0:
-        return ClassifierWeights(
-            role="W",
-            concept_ids=list(init.concept_ids),
-            matrix=init.matrix.copy(),
-            provenance={"init": init.role, "config": vars(config).copy(), "steps": 0},
-        )
-
     n = x.shape[0]
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs

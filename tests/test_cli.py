@@ -430,7 +430,9 @@ def test_retrieve_refuses_verdicts_missing_a_hit_pair(capsys, world):
 def test_bad_definitions_line_names_path_and_line(capsys, world):
     bad = world["dir"] / "definitions_bad.jsonl"
     for body in ('{"concept_id": 0, "definitions": ["x"]}\n{broken\n',
-                 '{"concept_id": 0, "definitions": ["x"]}\n{"concept_id": 0}\n'):
+                 '{"concept_id": 0, "definitions": ["x"]}\n{"concept_id": 0}\n',
+                 # a bare string, not one definition per letter
+                 '{"concept_id": 0, "definitions": ["x"]}\n{"concept_id": 0, "definitions": "big"}\n'):
         bad.write_text(body)
         err = run_fail(capsys, [
             "judge", "--concepts", world["concepts"], "--corpus", world["corpus"],
@@ -533,6 +535,52 @@ def test_train_refuses_retrieved_concepts_missing_from_init(capsys, world, tmp_p
     assert err["error"] == "InputError"
     assert "not in --init: [7]" in err["message"]
     assert not (tmp_path / "w.bin").exists()
+
+
+def test_train_and_retrieve_refuse_synonym_embeddings_of_another_dim(capsys, world, tmp_path):
+    """Each names both roles and both dims instead of failing inside numpy."""
+    small = tmp_path / "synonyms3.bin"
+    rng = np.random.default_rng(3)
+    save_embeddings(EmbeddingMatrix(ALL_SYNONYMS, rng.standard_normal((6, 3)).astype(np.float32)),
+                    str(small))
+    write_jsonl(tmp_path / "synsets.jsonl", [
+        {"concept_id": 0, "synonyms": ["tiger"]}, {"concept_id": 1, "synonyms": ["cat"]},
+    ])
+    write_jsonl(tmp_path / "hits.jsonl", [
+        {"caption_id": 0, "concept_id": 0, "synonym": "tiger", "offset": 0},
+    ])
+    save_two_concept_init(tmp_path / "init.bin")
+    RetrievalSet({0: [(0, 0.9)], 1: [(4, 0.8)]}).to_jsonl(str(tmp_path / "retrieval.jsonl"))
+    synonyms = ["--synonyms", str(tmp_path / "synsets.jsonl"), "--embeddings", f"synonyms={small}"]
+    err = run_fail(capsys, [
+        "train", "--retrieval", str(tmp_path / "retrieval.jsonl"),
+        "--init", str(tmp_path / "init.bin"), *synonyms,
+        "--embeddings", f"images={world['images_emb']}", "--out", str(tmp_path / "w.bin"),
+    ], 2)
+    assert err["error"] == "InputError"
+    assert "synonyms embedding dim 3 != weights dim 8" in err["message"]
+    err = run_fail(capsys, [
+        "retrieve", "--hits", str(tmp_path / "hits.jsonl"), *synonyms,
+        "--embeddings", f"captions={world['captions_emb']}",
+        "--out", str(tmp_path / "retrieval2.jsonl"),
+    ], 2)
+    assert err["error"] == "InputError"
+    assert "captions embedding dim 8 != synonyms embedding dim 3" in err["message"]
+    assert not (tmp_path / "w.bin").exists() and not (tmp_path / "retrieval2.jsonl").exists()
+
+
+def test_retrieve_refuses_hits_for_concepts_outside_synonyms(capsys, world):
+    run_pipeline_through_freq(capsys, world)
+    write_jsonl(world["dir"] / "one.jsonl", [{"concept_id": 0, "synonyms": ["tiger"]}])
+    err = run_fail(capsys, [
+        "retrieve", "--hits", art(world, "hits.jsonl"), "--synonyms", art(world, "one.jsonl"),
+        "--embeddings", f"captions={world['captions_emb']}",
+        "--embeddings", f"synonyms={world['synonyms_emb']}",
+        "--k", "2", "--out", art(world, "retrieval.jsonl"),
+    ], 2)
+    assert err["error"] == "InputError"
+    assert "without synonym sets: [1, 2]" in err["message"]
+    assert not (world["dir"] / "retrieval.jsonl").exists()
 
 
 def test_divergence_exits_4(capsys, world, monkeypatch, tmp_path):

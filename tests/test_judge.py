@@ -62,6 +62,14 @@ def test_rule_stub_bad_record(tmp_path):
         RuleStubJudge.from_jsonl(str(path))
 
 
+def test_rule_stub_refuses_a_bare_string_of_phrases(tmp_path):
+    """A bare string is refused, not read as a list of its letters."""
+    path = tmp_path / "blocklist.jsonl"
+    path.write_text('{"name": "tiger", "reject_phrases": "tiger shark"}\n')
+    with pytest.raises(InputError, match=f"{path}:1: bad blocklist record: reject_phrases is a string"):
+        RuleStubJudge.from_jsonl(str(path))
+
+
 def test_rule_stub_default_id_follows_its_blocklists():
     stub = RuleStubJudge({"tiger": ["tiger shark"]})
     assert stub.judge_id.startswith("rule-stub:")
@@ -199,7 +207,7 @@ def test_cache_skips_provider_on_rerun(tmp_path, tiger_concepts):
     hits = [MatchHit(1, 0, "tiger"), MatchHit(2, 0, "tiger")]
     captions = {1: "a tiger", 2: "tiger shark swimming in water"}
     judge = RuleStubJudge({"tiger": ["tiger shark"]})
-    first = judge_hits(hits, tiger_concepts, captions, judge, cache=VerdictCache(cache_dir))
+    first = judge_hits(hits, tiger_concepts, captions, VerdictCache(cache_dir, judge))
 
     stub_id = judge.judge_id
 
@@ -209,22 +217,22 @@ def test_cache_skips_provider_on_rerun(tmp_path, tiger_concepts):
         def judge(self, concept, caption, definition=None):
             raise AssertionError("cache miss: provider was consulted")
 
-    second = judge_hits(hits, tiger_concepts, captions, Dead(), cache=VerdictCache(cache_dir))
+    second = judge_hits(hits, tiger_concepts, captions, VerdictCache(cache_dir, Dead()))
     assert second.verdicts == first.verdicts
 
 
 def test_cache_keyed_by_judge_id(tmp_path, tiger_concepts):
-    cache = VerdictCache(str(tmp_path / "cache"))
+    cache_dir = str(tmp_path / "cache")
     hits = [MatchHit(1, 0, "tiger")]
     captions = {1: "tiger shark swimming in water"}
-    strict = RuleStubJudge({"tiger": ["tiger shark"]}, judge_id="strict")
-    lax = RuleStubJudge({}, judge_id="lax")
-    assert judge_hits(hits, tiger_concepts, captions, strict, cache=cache).verdicts[0].relevant is False
-    assert judge_hits(hits, tiger_concepts, captions, lax, cache=cache).verdicts[0].relevant is True
+    strict = VerdictCache(cache_dir, RuleStubJudge({"tiger": ["tiger shark"]}, judge_id="strict"))
+    assert judge_hits(hits, tiger_concepts, captions, strict).verdicts[0].relevant is False
+    lax = VerdictCache(cache_dir, RuleStubJudge({}, judge_id="lax"))
+    assert judge_hits(hits, tiger_concepts, captions, lax).verdicts[0].relevant is True
 
 
 def test_cache_file_schema(tmp_path):
-    cache = VerdictCache(str(tmp_path / "cache"))
+    cache = VerdictCache(str(tmp_path / "cache"), RuleStubJudge({}))
     h = caption_hash("a tiger")
     cache.put("stub", 3, h, True)
     cache.put("stub", 3, h, False)  # duplicate key ignored, not rewritten
@@ -232,7 +240,7 @@ def test_cache_file_schema(tmp_path):
     assert len(lines) == 1
     obj = json.loads(lines[0])
     assert obj == {"caption_sha256": h, "concept_id": 3, "judge_id": "stub", "relevant": True}
-    assert VerdictCache(str(tmp_path / "cache")).get("stub", 3, h) is True
+    assert VerdictCache(str(tmp_path / "cache"), RuleStubJudge({})).get("stub", 3, h) is True
 
 
 def _verdict_line(concept_id, relevant):
@@ -251,12 +259,12 @@ def test_cache_skips_torn_final_line(tmp_path, cut):
     path.parent.mkdir()
     path.write_text(_verdict_line(1, True) + "\n" + _verdict_line(2, False)[:cut])
     h = caption_hash("a tiger")
-    cache = VerdictCache(str(tmp_path / "cache"))
+    cache = VerdictCache(str(tmp_path / "cache"), RuleStubJudge({}))
     assert cache.get("stub", 1, h) is True
     assert cache.get("stub", 2, h) is None
     cache.put("stub", 3, h, False)
     assert path.read_text() == _verdict_line(1, True) + "\n" + _verdict_line(3, False) + "\n"
-    reloaded = VerdictCache(str(tmp_path / "cache"))
+    reloaded = VerdictCache(str(tmp_path / "cache"), RuleStubJudge({}))
     assert reloaded.get("stub", 3, h) is False
 
 
@@ -265,7 +273,7 @@ def test_cache_keeps_unterminated_complete_final_line(tmp_path):
     path.parent.mkdir()
     path.write_text(_verdict_line(1, True))
     h = caption_hash("a tiger")
-    cache = VerdictCache(str(tmp_path / "cache"))
+    cache = VerdictCache(str(tmp_path / "cache"), RuleStubJudge({}))
     assert cache.get("stub", 1, h) is True
     cache.put("stub", 2, h, False)
     assert path.read_text() == _verdict_line(1, True) + "\n" + _verdict_line(2, False) + "\n"
@@ -277,15 +285,37 @@ def test_cache_keeps_unterminated_complete_final_line(tmp_path):
         ("{torn\n" + _verdict_line(1, True) + "\n", 1),  # not the last line
         (_verdict_line(1, True) + "\n{torn\n", 2),  # terminated, so fully written
         (_verdict_line(1, True) + '\n{"judge_id": "stub"}\n', 2),  # missing fields
+        (_verdict_line(1, "false") + "\n", 1),  # bool() would read it as True
+        (_verdict_line(1, 0) + "\n", 1),
     ],
-    ids=["first-line", "terminated-last-line", "missing-fields"],
+    ids=["first-line", "terminated-last-line", "missing-fields", "relevant-str", "relevant-int"],
 )
 def test_cache_malformed_line_is_input_error(tmp_path, body, lineno):
     path = tmp_path / "cache" / "verdicts.jsonl"
     path.parent.mkdir()
     path.write_text(body)
     with pytest.raises(InputError, match=f"verdicts.jsonl:{lineno}:"):
-        VerdictCache(str(tmp_path / "cache"))
+        VerdictCache(str(tmp_path / "cache"), RuleStubJudge({}))
+
+
+def test_verdict_cache_asks_its_judge_on_a_miss_only(tmp_path, tiger_concepts):
+    judge = FlakyJudge(failures_before_success=0)
+    cache = VerdictCache(str(tmp_path / "cache"), judge)
+    assert cache.judge_id == "flaky"
+    tiger = tiger_concepts[0]
+    assert cache.judge(tiger, "a tiger") is True
+    assert cache.judge(tiger, "a tiger") is True
+    assert judge.attempts == {(0, "a tiger"): 1}
+    assert cache.get("flaky", 0, caption_hash("a tiger")) is True
+
+
+def test_judge_hits_hashes_no_caption_when_nothing_caches(monkeypatch, tiger_concepts):
+    def refuse(text):
+        raise AssertionError("caption hashed")
+
+    monkeypatch.setattr(judge_module, "caption_hash", refuse)
+    outcome = judge_hits([MatchHit(1, 0, "tiger")], tiger_concepts, {1: "a tiger"}, RuleStubJudge({}))
+    assert [v.relevant for v in outcome.verdicts] == [True]
 
 
 def test_worker_count_does_not_change_order(tiger_concepts):
@@ -509,6 +539,17 @@ def test_verdicts_round_trip(tmp_path):
     back = load_verdicts(str(path))
     assert back.verdicts == outcome.verdicts
     assert back.undecided == outcome.undecided
+
+
+@pytest.mark.parametrize("relevant", ['"false"', "0"])
+def test_verdict_and_validation_files_refuse_a_relevant_that_is_not_a_bool(tmp_path, relevant):
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text(f'{{"caption_id": 1, "concept_id": 0, "relevant": {relevant}}}\n')
+    with pytest.raises(InputError, match=":1: bad verdict record: 'relevant' is"):
+        load_verdicts(str(path))
+    path.write_text(f'{{"caption_id": 1, "concept_id": 0, "gold_relevant": {relevant}}}\n')
+    with pytest.raises(InputError, match=":1: bad validation pair: 'gold_relevant' is"):
+        ValidationSet.from_jsonl(str(path))
 
 
 def test_load_verdicts_bad_record(tmp_path):

@@ -136,6 +136,14 @@ def test_retrieval_input_errors():
         retrieve_balanced([MatchHit(7, 0, "s")], captions, {0: np.eye(4)[0]}, k=1)
 
 
+def test_retrieval_refuses_hits_for_concepts_without_a_query():
+    """As freq and judge do, retrieval refuses a hit it cannot place, naming up to 5 ids."""
+    captions = make_embeddings([str(i) for i in range(8)], dim=4, seed=4)
+    hits = [MatchHit(0, 0, "s")] + [MatchHit(i, cid, "s") for i, cid in enumerate(range(9, 2, -1), 1)]
+    with pytest.raises(InputError, match=r"without synonym sets: \[3, 4, 5, 6, 7\]"):
+        retrieve_balanced(hits, captions, {0: np.eye(4)[0]}, k=1)
+
+
 def test_retrieval_set_round_trip(tmp_path):
     rs = RetrievalSet({0: [(9, 0.5), (2, 0.25)], 1: []})
     path = tmp_path / "retrieval.jsonl"
@@ -444,6 +452,12 @@ def test_build_text_examples_unknown_concept():
     zs = ClassifierWeights("W_zs", [0], np.array([[1.0, 0.0]], dtype=np.float32))
     with pytest.raises(InputError, match="unknown concept 3"):
         build_text_examples([SynonymSet(3, ["x"], ["original"])], make_embeddings(["x"], dim=2), zs)
+
+
+def test_build_text_examples_refuses_synonyms_of_another_dim():
+    zs = ClassifierWeights("W_zs", [0], np.array([[1.0, 0.0]], dtype=np.float32))
+    with pytest.raises(InputError, match="synonyms embedding dim 3 != weights dim 2"):
+        build_text_examples([SynonymSet(0, ["x"], ["original"])], make_embeddings(["x"], dim=3), zs)
 
 
 # ---------------------------------------------------------------- ensemble
