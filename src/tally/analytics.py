@@ -240,7 +240,8 @@ def mean_per_class_accuracy(
         missing = [cid for cid in concepts if cid not in totals]
         if missing:
             raise InputError(f"classes with zero examples: {sorted(missing)}")
-        extra = [cid for cid in totals if cid not in set(concepts)]
+        concept_set = set(concepts)
+        extra = [cid for cid in totals if cid not in concept_set]
         if extra:
             raise InputError(f"gold labels outside the concept set: {sorted(extra)}")
     table = AccuracyTable({cid: correct[cid] / totals[cid] for cid in totals})

@@ -450,6 +450,7 @@ def cmd_train(args) -> dict:
             keys.append(str(caption_id))
             labels.append(row)
     image_features = images.rows(keys)  # float32; train_crossmodal widens it once
+    del images  # only the gathered rows are needed from here on: free the full matrix
 
     config = reallinear.TrainConfig(
         learning_rate=args.lr,

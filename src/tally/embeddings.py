@@ -38,6 +38,24 @@ MAGIC = b"CEMB"
 VERSION = 1
 FLAG_NORMALIZED = 1
 NORM_TOL = 1e-4
+# float32 elements in one row block of scratch (1 MiB): the unit of work for
+# validating a matrix and for scoring queries against a classifier.
+BLOCK_ELEMENTS = 1 << 18
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each of the same max(1, BLOCK_ELEMENTS // width)
+    rows, or one slice of every row when they fit in one block (none for no rows).
+
+    The last block is moved back to end at `rows`, so it may overlap the one
+    before it but is never a short remnant: BLAS takes another path for a
+    product of one or a few rows (gemv, a small-matrix kernel), whose rounding
+    differs from that of the full-size blocks.
+    """
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    if rows <= step:
+        return [slice(0, rows)] if rows else []
+    return [slice(min(start, rows - step), min(start + step, rows)) for start in range(0, rows, step)]
 
 
 @dataclass
@@ -62,15 +80,17 @@ class EmbeddingMatrix:
             if key in self._index:
                 raise InputError(f"duplicate embedding key {key!r}")
             self._index[key] = i
-        if not np.all(np.isfinite(self.data)):
-            raise EmbeddingFormatError("embedding data contains NaN or Inf")
-        if self.normalized and len(self.keys):
-            norms = np.linalg.norm(self.data, axis=1)
-            worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > NORM_TOL:
-                raise InputError(
-                    f"matrix flagged normalized but a row norm deviates by {worst:.2e}"
-                )
+        # Block by block, so the check's temporaries stay small; the worst norm
+        # deviation is reported only after every block was found finite.
+        worst = 0.0
+        for block in row_blocks(len(self.keys), self.dim):
+            rows = self.data[block]
+            if not np.isfinite(rows).all():
+                raise EmbeddingFormatError("embedding data contains NaN or Inf")
+            if self.normalized:
+                worst = max(worst, float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0))))
+        if worst > NORM_TOL:
+            raise InputError(f"matrix flagged normalized but a row norm deviates by {worst:.2e}")
 
     @property
     def dim(self) -> int:

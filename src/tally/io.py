@@ -21,6 +21,8 @@ import os
 from .errors import InputError
 
 _PARSE_ERRORS = (KeyError, TypeError, ValueError)  # json.JSONDecodeError is a ValueError
+# The encoder json.dumps(obj, sort_keys=True) uses, built once: dumps builds a new one per call.
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def read_jsonl(path: str, what: str, parse) -> list:
@@ -38,10 +40,17 @@ def read_jsonl(path: str, what: str, parse) -> list:
 
 
 def string_list(value, what: str) -> list[str]:
-    """A JSON list's items as strings; a bare string is a TypeError, not a list of letters."""
+    """A JSON list's items as strings, a number as its decimal text. A bare string
+    (not a list of letters) or an item that is null, a bool, a list or an object
+    is a TypeError."""
     if isinstance(value, str):
         raise TypeError(f"{what} is a string, not a list")
-    return [str(item) for item in value]
+    items = []
+    for item in value:
+        if item is None or isinstance(item, (bool, list, dict)):
+            raise TypeError(f"{what} holds {json.dumps(item)}, not a string")
+        items.append(str(item))
+    return items
 
 
 def read_table(path: str, what: str, field: str) -> dict[str, list[str]]:
@@ -90,7 +99,7 @@ def write_jsonl(path: str, records) -> None:
     """One sorted-key JSON object per line."""
     with atomic_write(path) as f:
         for record in records:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+            f.write(SORTED_JSON.encode(record) + "\n")
 
 
 def write_csv(path: str, header, rows) -> None:

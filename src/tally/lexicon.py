@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .corpus import normalize_text
 from .errors import InputError, ProviderError
-from .io import read_jsonl, read_table, string_list, write_jsonl
+from .io import SORTED_JSON, read_jsonl, read_table, string_list, write_jsonl
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingMatrix
@@ -237,7 +237,7 @@ class CacheFile:
                     self._handle.truncate(at)
                     self._handle.write(glue)
                     self._repair = None
-            self._handle.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+            self._handle.write(SORTED_JSON.encode(record).encode("utf-8") + b"\n")
             self._handle.flush()
 
 

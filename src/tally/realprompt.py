@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from .embeddings import EmbeddingMatrix, load_embeddings, row_blocks, save_embeddings
 from .errors import InputError
 from .io import atomic_write
 from .lexicon import SynonymSet
@@ -175,15 +175,19 @@ def classify_batch(weights: ClassifierWeights, queries: np.ndarray) -> np.ndarra
 
     Exact logit ties resolve to the smallest concept_id: columns are
     scanned in ascending concept_id order and argmax returns the first
-    maximum.
+    maximum. The queries are scored one row block at a time, so at most
+    one block of logits exists at once, never the whole (n × concepts).
     """
     queries = np.ascontiguousarray(queries, dtype=np.float32)
     if queries.ndim != 2 or queries.shape[1] != weights.dim:
         raise InputError(f"queries shape {queries.shape} does not match dim {weights.dim}")
     order = np.argsort(np.asarray(weights.concept_ids))
-    logits = queries @ weights.matrix[order].T
+    columns = weights.matrix[order].T
     ids_sorted = np.asarray(weights.concept_ids)[order]
-    return ids_sorted[np.argmax(logits, axis=1)]
+    preds = np.empty(len(queries), dtype=ids_sorted.dtype)
+    for block in row_blocks(len(queries), len(ids_sorted)):
+        preds[block] = ids_sorted[np.argmax(queries[block] @ columns, axis=1)]
+    return preds
 
 
 def chosen_synonym_report(

@@ -1,6 +1,7 @@
 """Embedding matrix semantics and the binary file format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import make_embeddings
 from tally.embeddings import (
+    BLOCK_ELEMENTS,
     EmbeddingMatrix,
     average_normalized,
     cosine,
     load_embeddings,
+    row_blocks,
     save_embeddings,
 )
 from tally.errors import (
@@ -179,6 +182,60 @@ def test_normalized_flag_validated():
         EmbeddingMatrix(["a"], rows, normalized=True)
     # within tolerance is fine
     EmbeddingMatrix(["a"], np.array([[1.0 + 5e-5, 0.0]], dtype=np.float32), normalized=True)
+
+
+# Validation runs over row blocks: at dim 512 a block holds STEP rows.
+DIM = 512
+STEP = BLOCK_ELEMENTS // DIM
+
+
+@pytest.mark.parametrize("rows, width", [(0, 4), (1, 4), (STEP, DIM), (STEP + 1, DIM), (3 * STEP + 5, DIM), (7, 0)])
+def test_row_blocks_cover_every_row_in_full_size_blocks(rows, width):
+    blocks = row_blocks(rows, width)
+    covered = np.zeros(rows, dtype=bool)
+    for block in blocks:
+        covered[block] = True
+    assert covered.all()
+    assert len({block.stop - block.start for block in blocks}) == (1 if rows else 0)  # no short remnant
+
+
+def _unit_matrix(n, seed=0):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, DIM))
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+def test_nan_in_a_late_block_is_reported_before_an_earlier_norm_deviation():
+    rows = _unit_matrix(3 * STEP + 5)
+    rows[3] *= 1.01  # block 0: a norm deviation
+    rows[-1, 7] = np.nan  # the last block: a NaN
+    with pytest.raises(EmbeddingFormatError, match="NaN or Inf"):
+        EmbeddingMatrix([str(i) for i in range(len(rows))], rows, normalized=True)
+
+
+@pytest.mark.parametrize("worst_row", [2, STEP + 3, 3 * STEP + 4])
+def test_norm_deviation_reported_is_the_worst_of_all_blocks(worst_row):
+    rows = _unit_matrix(3 * STEP + 5, seed=worst_row)
+    for row, scale in ((1, 1.001), (STEP + 1, 1.002), (2 * STEP + 1, 0.997), (worst_row, 1.05)):
+        rows[row] *= scale
+    one_shot = float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)))
+    with pytest.raises(InputError, match=f"deviates by {one_shot:.2e}$") as err:
+        EmbeddingMatrix([str(i) for i in range(len(rows))], rows, normalized=True)
+    assert "5.00e-02" in str(err.value)
+
+
+def test_validation_never_holds_a_whole_matrix_temporary():
+    """A 20,000 x 512 normalized matrix (41 MB): the one-shot checks built a
+    41 MB squared copy and a 10 MB mask; over row blocks the peak is ~1-2 MB."""
+    rows = _unit_matrix(20_000)
+    keys = [str(i) for i in range(len(rows))]
+    tracemalloc.start()
+    try:
+        EmbeddingMatrix(keys, rows, normalized=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, f"validation peaked at {peak / 1e6:.1f} MB"
 
 
 def test_missing_key_named():

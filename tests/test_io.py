@@ -38,6 +38,16 @@ def test_read_jsonl_names_path_and_line(tmp_path, body, lineno):
         io.read_jsonl(str(path), "widget", lambda obj: int(obj["x"]))
 
 
+def test_string_list_reads_strings_and_numbers():
+    assert io.string_list(["big cat", 7, 2.5], "synonyms") == ["big cat", "7", "2.5"]
+
+
+@pytest.mark.parametrize("item", [None, True, False, [1], {"a": 1}])
+def test_string_list_refuses_null_bools_lists_and_objects(item):
+    with pytest.raises(TypeError, match="synonyms holds "):
+        io.string_list(["big cat", item], "synonyms")
+
+
 def test_read_csv_checks_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,c\n1,2\n")

@@ -2,6 +2,7 @@
 
 import json
 import logging
+from re import escape as re_escape
 
 import numpy as np
 import pytest
@@ -309,6 +310,30 @@ def test_load_synonym_sets_refuses_a_bare_string(tmp_path):
             load_synonym_sets(str(path))
 
 
+@pytest.mark.parametrize("item", ["null", "true", "[1]", '{"a": 1}'])
+def test_fixture_refuses_a_synonym_that_is_not_a_string_or_number(tmp_path, item):
+    """null, a bool, a list or an object is refused, not read through str() as
+    'none' or 'a 1' (a synonym 'none' would count every caption with that word)."""
+    path = tmp_path / "fixture.jsonl"
+    path.write_text(
+        '{"name": "tiger", "synonyms": ["panthera tigris"]}\n'
+        f'{{"name": "lion", "synonyms": ["big cat", {item}]}}\n'
+    )
+    with pytest.raises(InputError, match=f"{path}:2: bad synonym record: synonyms holds {re_escape(item)}"):
+        FixtureSynonymProvider.from_jsonl(str(path))
+
+
+def test_load_synonym_sets_refuses_null_items(tmp_path):
+    path = tmp_path / "synsets.jsonl"
+    for field, body in (
+        ("synonyms", '{"concept_id": 1, "synonyms": ["tiger", null]}\n'),
+        ("provenance", '{"concept_id": 1, "synonyms": ["o"], "provenance": [null]}\n'),
+    ):
+        path.write_text(body)
+        with pytest.raises(InputError, match=f"{path}:1: bad synonym set: {field} holds null"):
+            load_synonym_sets(str(path))
+
+
 # ------------------------------------------------------------------- http
 
 
@@ -347,6 +372,9 @@ def test_http_provider_unreachable():
         (b'{"wrong": []}', "synonyms"),
         (b'{"synonyms": 3}', "not iterable"),
         (b'{"synonyms": "big cat"}', "'tiger': synonyms is a string"),  # not 7 letters
+        (b'{"synonyms": ["big cat", null]}', "'tiger': synonyms holds null"),
+        (b'{"synonyms": [false]}', "'tiger': synonyms holds false"),
+        (b'{"synonyms": [{"a": 1}]}', "'tiger': synonyms holds"),
     ],
 )
 def test_http_provider_failures_are_provider_errors(monkeypatch, outcome, message):

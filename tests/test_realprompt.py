@@ -1,12 +1,13 @@
 """Prompt templates, synonym selection, and zero-shot classifier construction."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_embeddings, unit_rows
-from tally.embeddings import EmbeddingMatrix, average_normalized
+from tally.embeddings import BLOCK_ELEMENTS, EmbeddingMatrix, average_normalized
 from tally.errors import InputError, MissingEmbeddingError
 from tally.lexicon import SynonymSet
 from tally.realprompt import (
@@ -250,6 +251,69 @@ def test_classify_batch_matches_classify_on_scrambled_ids():
     assert list(batch) == singles
     for q, expected in zip(queries, singles):
         assert list(classify_batch(w, q[None, :])) == [expected]
+
+
+def _integer_weights(ids, dim, rng, patterns=8):
+    """Weights whose rows repeat a few small-integer patterns, so every query
+    ties exactly between many concepts and no BLAS path can round a logit."""
+    rows = rng.integers(-3, 4, size=(patterns, dim))[rng.integers(0, patterns, size=len(ids))]
+    return ClassifierWeights("W", list(ids), rows.astype(np.float32))
+
+
+def _one_shot(weights, queries):
+    """The whole (n x concepts) logit matrix, argmax over ascending concept_id."""
+    order = np.argsort(np.asarray(weights.concept_ids))
+    logits = queries @ weights.matrix[order].T
+    return np.asarray(weights.concept_ids)[order][np.argmax(logits, axis=1)]
+
+
+CONCEPTS = 1000
+STEP = BLOCK_ELEMENTS // CONCEPTS  # query rows per block
+
+
+@pytest.mark.parametrize("n", [0, 1, STEP - 1, STEP, 2 * STEP, 3 * STEP + 5])
+def test_classify_batch_blocks_match_one_shot_argmax(n):
+    rng = np.random.default_rng(n)
+    ids = rng.permutation(np.arange(5, 5 + 3 * CONCEPTS, 3)).tolist()  # scrambled, not 0..C-1
+    w = _integer_weights(ids, 6, rng)
+    queries = rng.integers(-3, 4, size=(n, 6)).astype(np.float32)
+    got = classify_batch(w, queries)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert got.tolist() == _one_shot(w, queries).tolist()
+
+
+def test_classify_batch_ties_straddling_a_block_boundary():
+    """Duplicate query rows on both sides of a block edge (and in the last,
+    overlapping block) get the same prediction: the smallest tied concept_id."""
+    rng = np.random.default_rng(3)
+    ids = rng.permutation(CONCEPTS).tolist()
+    w = _integer_weights(ids, 4, rng, patterns=3)
+    n = 2 * STEP + 7
+    queries = rng.integers(-2, 3, size=(n, 4)).astype(np.float32)
+    for row in (STEP - 1, STEP, 2 * STEP - 1, 2 * STEP, n - 1):
+        queries[row] = queries[0]
+    got = classify_batch(w, queries)
+    logits = w.matrix @ queries[0]
+    tied = [cid for cid, v in zip(ids, logits) if v == logits.max()]
+    assert len(tied) > 1
+    assert {int(got[row]) for row in (0, STEP - 1, STEP, 2 * STEP - 1, 2 * STEP, n - 1)} == {min(tied)}
+    assert got.tolist() == _one_shot(w, queries).tolist()
+
+
+def test_classify_batch_never_holds_the_whole_logit_matrix():
+    """20,000 queries x 1,000 concepts: the one-shot logits alone are 76 MB;
+    scored in row blocks the call peaks near one block (about 1 MB)."""
+    rng = np.random.default_rng(0)
+    w = ClassifierWeights("W", list(range(CONCEPTS)), unit_rows(CONCEPTS, 64, rng))
+    queries = unit_rows(20_000, 64, rng)
+    tracemalloc.start()
+    try:
+        got = classify_batch(w, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"classify_batch peaked at {peak / 1e6:.1f} MB"
+    assert got.tolist() == _one_shot(w, queries).tolist()
 
 
 def test_classify_batch_shape_check():
