@@ -31,7 +31,7 @@ from .analytics import AccuracyTable, FrequencyTable
 from .corpus import open_corpus, read_captions_at, shard_corpus
 from .defaults import DEFAULT_K, TRAIN_MODES
 from .errors import DivergenceError, InputError, ProviderError, TallyError
-from .io import atomic_write, read_csv, read_jsonl, string_list, write_csv
+from .io import atomic_write, json_int, read_csv, read_jsonl, string_list, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,7 +198,7 @@ def cmd_judge(args) -> dict:
                 read_jsonl(
                     args.definitions,
                     "definitions record",
-                    lambda obj: (int(obj["concept_id"]), string_list(obj["definitions"], "definitions")),
+                    lambda obj: (json_int(obj, "concept_id"), string_list(obj["definitions"], "definitions")),
                 )
             )
         else:
@@ -503,7 +503,9 @@ def cmd_eval(args) -> dict:
     if not labels:
         raise InputError(f"{args.labels}: no labeled examples")
     ids, gold = zip(*labels)
-    mpca, table = reallinear.evaluate(weights, images.rows(ids), gold)
+    rows = images.rows(ids)
+    del images  # rows is a copy; scoring the labels needs only it
+    mpca, table = reallinear.evaluate(weights, rows, gold)
     table.to_csv(args.out)
     return {
         "command": "eval",

@@ -19,8 +19,10 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyCorpusError, InputError
+from .io import loads_line
 
 FORMATS = ("jsonl", "tsv")
 
@@ -32,19 +34,25 @@ _NON_ALNUM = re.compile(r"[\W_]+", re.UNICODE)
 _MAX_SKIP_DETAIL = 1000
 
 
+# ASCII text is its own NFKC form, and its alphanumerics are [A-Za-z0-9].
+_ASCII_NON_ALNUM = {c: " " for c in range(128) if not chr(c).isalnum()}
+
+
 def normalize_text(raw: str) -> str:
     """Canonicalize caption text for matching.
 
     NFKC-normalize, lowercase, collapse every maximal run of
     non-alphanumeric characters to a single space, and strip. Idempotent:
-    normalize_text(normalize_text(s)) == normalize_text(s).
+    normalize_text(normalize_text(s)) == normalize_text(s). ASCII text gives
+    the same string by translate and split, without NFKC or the regex.
     """
+    if raw.isascii():
+        return " ".join(raw.lower().translate(_ASCII_NON_ALNUM).split())
     text = unicodedata.normalize("NFKC", raw).lower()
     return _NON_ALNUM.sub(" ", text).strip()
 
 
-@dataclass(frozen=True)
-class CaptionRecord:
+class CaptionRecord(NamedTuple):
     """One corpus record; byte_offset is the absolute file offset of its line."""
 
     id: int
@@ -76,15 +84,14 @@ class CorpusShard:
 def _parse_jsonl_line(line: str) -> tuple[int, str] | str:
     """Return (id, text) or a reason string when the line is malformed."""
     try:
-        obj = json.loads(line)
+        obj = loads_line(line)
     except json.JSONDecodeError as e:
         return f"invalid json: {e.msg}"
     if not isinstance(obj, dict):
         return "not a json object"
     rec_id = obj.get("id")
     text = obj.get("text")
-    # bool is an int subclass; reject it explicitly.
-    if not isinstance(rec_id, int) or isinstance(rec_id, bool) or rec_id < 0:
+    if type(rec_id) is not int or rec_id < 0:  # a bool is an int subclass
         return "missing or invalid 'id'"
     if not isinstance(text, str):
         return "missing or invalid 'text'"
@@ -160,14 +167,10 @@ class CorpusReader:
         with open(self.path, "rb") as f:
             f.seek(self.start_byte)
             offset = self.start_byte
-            while True:
+            for raw in f:
                 if self.end_byte is not None and offset >= self.end_byte:
                     break
-                raw = f.readline()
-                if not raw:
-                    break
-                line_offset = offset
-                offset += len(raw)
+                line_offset, offset = offset, offset + len(raw)
                 parsed = _parse_raw_line(raw, parse)
                 if parsed is None:
                     continue

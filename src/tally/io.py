@@ -23,6 +23,21 @@ from .errors import InputError
 _PARSE_ERRORS = (KeyError, TypeError, ValueError)  # json.JSONDecodeError is a ValueError
 # The encoder json.dumps(obj, sort_keys=True) uses, built once: dumps builds a new one per call.
 SORTED_JSON = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder()  # the decoder json.loads uses
+
+
+def loads_line(line: str | bytes):
+    """json.loads(line), with the same result, exception and message. A line
+    that holds one JSON value from its first character, then only JSON
+    whitespace, takes one raw_decode; any other line goes to json.loads."""
+    try:
+        text = line.decode("utf-8") if isinstance(line, bytes) else line
+        obj, end = _DECODER.raw_decode(text)
+        if not text[end:].strip(" \t\n\r"):
+            return obj
+    except ValueError:  # a UnicodeDecodeError or a JSONDecodeError
+        pass
+    return json.loads(line)
 
 
 def read_jsonl(path: str, what: str, parse) -> list:
@@ -33,7 +48,7 @@ def read_jsonl(path: str, what: str, parse) -> list:
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                out.append(parse(loads_line(line)))
             except _PARSE_ERRORS as e:
                 raise InputError(f"{path}:{lineno}: bad {what}: {e}") from e
     return out
@@ -51,6 +66,14 @@ def string_list(value, what: str) -> list[str]:
             raise TypeError(f"{what} holds {json.dumps(item)}, not a string")
         items.append(str(item))
     return items
+
+
+def json_int(obj: dict, key: str) -> int:
+    """obj[key] if it is a JSON integer; a bool, float, string or anything else is a TypeError."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} is {json.dumps(value)}, not an integer")
+    return value
 
 
 def read_table(path: str, what: str, field: str) -> dict[str, list[str]]:

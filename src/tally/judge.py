@@ -35,7 +35,7 @@ from .errors import (
     ProviderError,
     UndefinedPrecisionError,
 )
-from .io import read_jsonl, read_table, write_jsonl
+from .io import json_int, read_jsonl, read_table, write_jsonl
 from .lexicon import CacheFile, Concept, ConceptSet, post_json, table_id
 from .matcher import MatchHit, count_captions
 
@@ -75,7 +75,7 @@ class ValidationSet:
     @classmethod
     def from_jsonl(cls, path: str) -> "ValidationSet":
         def parse(obj) -> tuple[int, int, bool]:
-            return int(obj["caption_id"]), int(obj["concept_id"]), _flag(obj, "gold_relevant")
+            return json_int(obj, "caption_id"), json_int(obj, "concept_id"), _flag(obj, "gold_relevant")
 
         pairs = read_jsonl(path, "validation pair", parse)
         if not pairs:
@@ -147,7 +147,7 @@ class VerdictCache:
         self._file = CacheFile(
             os.path.join(cache_dir, "verdicts.jsonl"),
             lambda obj: (
-                (obj["judge_id"], int(obj["concept_id"]), obj["caption_sha256"]),
+                (obj["judge_id"], json_int(obj, "concept_id"), obj["caption_sha256"]),
                 _flag(obj),
             ),
         )
@@ -348,13 +348,9 @@ def save_verdicts(outcome: JudgeOutcome, path: str) -> None:
 
 def load_verdicts(path: str) -> JudgeOutcome:
     def parse(obj) -> JudgeVerdict | tuple[int, int]:
+        pair = json_int(obj, "caption_id"), json_int(obj, "concept_id")
         if obj["relevant"] is None:
-            return int(obj["caption_id"]), int(obj["concept_id"])
-        return JudgeVerdict(
-            int(obj["caption_id"]),
-            int(obj["concept_id"]),
-            _flag(obj),
-            str(obj.get("judge_id", "")),
-        )
+            return pair
+        return JudgeVerdict(*pair, _flag(obj), str(obj.get("judge_id", "")))
 
     return JudgeOutcome.of(read_jsonl(path, "verdict record", parse))

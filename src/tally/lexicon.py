@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .corpus import normalize_text
 from .errors import InputError, ProviderError
-from .io import SORTED_JSON, read_jsonl, read_table, string_list, write_jsonl
+from .io import SORTED_JSON, json_int, loads_line, read_jsonl, read_table, string_list, write_jsonl
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingMatrix
@@ -82,7 +82,7 @@ class ConceptSet:
     @classmethod
     def from_jsonl(cls, path: str) -> "ConceptSet":
         def parse(obj) -> Concept:
-            return Concept(int(obj["concept_id"]), str(obj["name"]), str(obj.get("definition", "")))
+            return Concept(json_int(obj, "concept_id"), str(obj["name"]), str(obj.get("definition", "")))
 
         return cls(read_jsonl(path, "concept record", parse))
 
@@ -207,7 +207,7 @@ class CacheFile:
             end = offset + len(line)
             if line.strip():
                 try:
-                    key, value = parse(json.loads(line))
+                    key, value = parse(loads_line(line))
                 except (KeyError, TypeError, ValueError) as e:
                     if end < len(data):
                         raise InputError(f"{self.path}:{lineno}: bad cache record: {e}") from e
@@ -357,7 +357,7 @@ def load_synonym_sets(path: str) -> list[SynonymSet]:
         provenance = string_list(obj.get("provenance", []), "provenance")
         if not provenance:
             provenance = [PROVENANCE_ORIGINAL] + [PROVENANCE_PROVIDER] * (len(synonyms) - 1)
-        return SynonymSet(int(obj["concept_id"]), synonyms, provenance, str(obj.get("name", "")))
+        return SynonymSet(json_int(obj, "concept_id"), synonyms, provenance, str(obj.get("name", "")))
 
     sets = read_jsonl(path, "synonym set", parse)
     if not sets:

@@ -32,18 +32,18 @@ from __future__ import annotations
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analytics import FrequencyTable
 from .corpus import CorpusShard, iter_shard
 from .errors import EmptyPatternSetError, InputError
-from .io import read_jsonl, write_jsonl
+from .io import json_int, read_jsonl, write_jsonl
 from .lexicon import SynonymSet
 
 MODES = ("whole_word", "partial")
 
 
-@dataclass(frozen=True)
-class MatchHit:
+class MatchHit(NamedTuple):
     """One synonym of one concept seen in one caption (first occurrence).
 
     span indexes the normalized text: norm_text[span[0]:span[1]] == synonym.
@@ -73,7 +73,8 @@ class PatternAutomaton:
     _prefilter: re.Pattern | None = field(repr=False, default=None)
 
     def find(self, norm_text: str) -> list[tuple[str, int]]:
-        """All (pattern, start) occurrences in one normalized caption."""
+        """All (pattern, start) occurrences in one normalized caption, each
+        pattern's in increasing start order."""
         found = []
         if self.mode == "whole_word":
             tokens = norm_text.split(" ")
@@ -159,10 +160,12 @@ def caption_hits(
 ) -> list[MatchHit]:
     """Hits for one caption: one per (concept, synonym), first occurrence,
     ordered by (concept_id, synonym); each carries the caption's offset."""
+    found = automaton.find(norm_text)
+    if not found:
+        return []
     first: dict[str, int] = {}
-    for pattern, start in automaton.find(norm_text):
-        if pattern not in first or start < first[pattern]:
-            first[pattern] = start
+    for pattern, start in found:
+        first.setdefault(pattern, start)
     hits = []
     for pattern, start in first.items():
         for cid in automaton.owners[pattern]:
@@ -265,10 +268,10 @@ def load_hits(path: str) -> list[MatchHit]:
 
     def parse(obj) -> MatchHit:
         offset = obj.get("offset")
-        if offset is not None and (not isinstance(offset, int) or offset < 0):
+        if offset is not None and json_int(obj, "offset") < 0:
             raise ValueError(f"offset {offset!r} is not a byte offset")
         return MatchHit(
-            int(obj["caption_id"]), int(obj["concept_id"]), str(obj["synonym"]), None, offset
+            json_int(obj, "caption_id"), json_int(obj, "concept_id"), str(obj["synonym"]), None, offset
         )
 
     return read_jsonl(path, "hit record", parse)

@@ -21,7 +21,7 @@ from .analytics import AccuracyTable, mean_per_class_accuracy
 from .defaults import DEFAULT_K, TRAIN_MODES
 from .embeddings import EmbeddingMatrix
 from .errors import DivergenceError, InputError
-from .io import read_jsonl, write_jsonl
+from .io import json_int, read_jsonl, write_jsonl
 from .lexicon import SynonymSet
 from .matcher import MatchHit
 from .realprompt import ClassifierWeights
@@ -57,8 +57,8 @@ class RetrievalSet:
             path,
             "retrieval record",
             lambda obj: (
-                int(obj["concept_id"]),
-                (int(obj["rank"]), int(obj["caption_id"]), float(obj["score"])),
+                json_int(obj, "concept_id"),
+                (json_int(obj, "rank"), json_int(obj, "caption_id"), float(obj["score"])),
             ),
         )
         for cid, row in rows:

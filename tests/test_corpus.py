@@ -1,6 +1,8 @@
 """Corpus reading, normalization, and sharding."""
 
 import json
+import re
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,28 @@ def test_normalize_output_shape(text):
         assert ch == " " or ch.isalnum()
 
 
+def _normalize_reference(text):
+    """The normalization spelled out in full: NFKC, lower, [\\W_]+ runs to a space, strip."""
+    return re.sub(r"[\W_]+", " ", unicodedata.normalize("NFKC", text).lower()).strip()
+
+
+# ASCII letters, digits, "_", tabs, the \x1c-\x1f separators str.split() treats as
+# whitespace, and the other ASCII punctuation and controls.
+_ASCII_CHARS = st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from("_\t\x1c\x1d\x1e\x1f 09aZ"))
+# Full-width letters and digits, which NFKC maps into ASCII.
+_FULL_WIDTH = st.one_of(
+    st.characters(min_codepoint=0xFF10, max_codepoint=0xFF19),
+    st.characters(min_codepoint=0xFF21, max_codepoint=0xFF3A),
+    st.characters(min_codepoint=0xFF41, max_codepoint=0xFF5A),
+)
+
+
+@given(st.text(_ASCII_CHARS, max_size=80) | st.text(_ASCII_CHARS | _FULL_WIDTH, max_size=80))
+@settings(max_examples=500, deadline=None)
+def test_normalize_ascii_path_matches_reference(text):
+    assert normalize_text(text) == _normalize_reference(text)
+
+
 # ------------------------------------------------------------ open_corpus
 
 
@@ -89,6 +113,49 @@ def test_open_corpus_jsonl_skips_malformed(tmp_path):
     assert any("json" in r for r in reasons)
     assert any("text" in r for r in reasons)
     assert any("id" in r for r in reasons)
+
+
+def test_open_corpus_skip_reasons_are_json_loads_messages(tmp_path):
+    """Malformed lines skip with the reason json.loads gives, edge cases included."""
+    lines = [
+        '{"id": 0, "text": "ok"}',
+        "{not json",
+        '{"id": 1, "text": "a"} {"id": 2}',
+        '{"id": 3, "text": "b"}\x1c',
+        '\ufeff{"id": 4, "text": "bom"}',
+        "[1, 2]",
+        "1, 2",
+        '{"id": NaN, "text": "nan"}',
+        '{"id": 1e999, "text": "inf"}',
+        '{"id": true, "text": "bool"}',
+        '{"id": 5}',
+        "  \t ",
+        '{"id": 6, "text": "tail"}  \t',
+        '  {"id": 7, "text": "lead"}',
+        '{"id": 8, "text": "x"}\u0085',
+        '{"id": 9, "text": "y"}\xa0',
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes("\n".join(lines).encode() + b"\n\xff\xfe\n")
+    reader = open_corpus(str(path))
+    assert [r.id for r in reader] == [0, 6, 7]
+    assert reader.skip_count == 14
+    assert [s.reason for s in reader.skips] == [
+        "invalid json: Expecting property name enclosed in double quotes",
+        "invalid json: Extra data",
+        "invalid json: Extra data",
+        "invalid json: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+        "not a json object",
+        "invalid json: Extra data",
+        "missing or invalid 'id'",
+        "missing or invalid 'id'",
+        "missing or invalid 'id'",
+        "missing or invalid 'text'",
+        "invalid json: Expecting value",
+        "invalid json: Extra data",
+        "invalid json: Extra data",
+        "invalid utf-8: invalid start byte",
+    ]
 
 
 def test_open_corpus_normalizes_once(tmp_path):

@@ -1,6 +1,7 @@
 """Artifact readers and atomic writers (`tally.io`)."""
 
 import ast
+import json
 import os
 import stat
 from pathlib import Path
@@ -46,6 +47,64 @@ def test_string_list_reads_strings_and_numbers():
 def test_string_list_refuses_null_bools_lists_and_objects(item):
     with pytest.raises(TypeError, match="synonyms holds "):
         io.string_list(["big cat", item], "synonyms")
+
+
+# One line each: the common shape, then lines where a lone raw_decode would
+# differ from json.loads (trailing data, a BOM, non-JSON whitespace, ...).
+_LINES = [
+    '{"id": 1, "text": "a tiger"}\n',
+    '{"id": 1, "text": "a tiger"}',
+    '{"id": 1, "text": "a tiger"} \t\r\n',
+    "1, 2",
+    "\ufeff{\"id\": 1}",
+    '{"a": 1}{"b": 2}',
+    '{"a": 1}\x1c',
+    '{"a": 1}\x1f\n',
+    '{"a": 1}\xa0',
+    '{"a": 1}\u0085',
+    '{"a": 1} ',
+    '  {"a": 1}',
+    '{"x": NaN}',
+    '{"x": 1e999}',
+    "NaN",
+    "-Infinity",
+    "1e999",
+    "12",
+    "",
+    "\n",
+    " \t\r\n",
+    "\x1c",
+    "{broken",
+    '"caf\u00e9 \\ud83d"',
+]
+
+
+def _outcome(loads, line):
+    try:
+        return "ok", repr(loads(line))
+    except Exception as e:  # the type and the message must both match
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("line", _LINES)
+def test_loads_line_is_json_loads(line):
+    assert _outcome(io.loads_line, line) == _outcome(json.loads, line)
+    for data in (line.encode("utf-8", "surrogatepass"), line.encode("utf-8-sig", "surrogatepass")):
+        assert _outcome(io.loads_line, data) == _outcome(json.loads, data)
+
+
+@pytest.mark.parametrize(
+    "data", [b'{"a": 1}\xff', b"\xff\xfe{\x00}\x00", '{"a": 1}'.encode("utf-16"), b"1\x00", b"\x001"]
+)
+def test_loads_line_is_json_loads_on_bytes_that_are_not_utf8(data):
+    assert _outcome(io.loads_line, data) == _outcome(json.loads, data)
+
+
+def test_json_int_refuses_bools_floats_and_strings():
+    assert io.json_int({"caption_id": 7}, "caption_id") == 7
+    for value in (True, 7.0, 7.9, "7", None, [7]):
+        with pytest.raises(TypeError, match="caption_id is .*, not an integer"):
+            io.json_int({"caption_id": value}, "caption_id")
 
 
 def test_read_csv_checks_header(tmp_path):

@@ -552,6 +552,18 @@ def test_verdict_and_validation_files_refuse_a_relevant_that_is_not_a_bool(tmp_p
         ValidationSet.from_jsonl(str(path))
 
 
+@pytest.mark.parametrize("relevant", ["true", "null"])
+@pytest.mark.parametrize("ids", ['"caption_id": 1.0, "concept_id": 0', '"caption_id": 1, "concept_id": false'])
+def test_verdict_and_validation_files_refuse_ids_that_are_not_integers(tmp_path, ids, relevant):
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text(f'{{{ids}, "relevant": {relevant}}}\n')
+    with pytest.raises(InputError, match=":1: bad verdict record: .*_id is .*, not an integer"):
+        load_verdicts(str(path))
+    path.write_text(f'{{{ids}, "gold_relevant": true}}\n')
+    with pytest.raises(InputError, match=":1: bad validation pair: .*_id is .*, not an integer"):
+        ValidationSet.from_jsonl(str(path))
+
+
 def test_load_verdicts_bad_record(tmp_path):
     path = tmp_path / "verdicts.jsonl"
     path.write_text('{"caption_id": 1}\n')

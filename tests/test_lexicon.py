@@ -67,6 +67,16 @@ def test_concept_set_bad_record_locates_line(tmp_path):
         ConceptSet.from_jsonl(str(path))
 
 
+@pytest.mark.parametrize("value", ["1.9", "true", '"1"'])
+def test_concepts_and_synonym_sets_refuse_a_concept_id_that_is_not_an_integer(tmp_path, value):
+    path = tmp_path / "c.jsonl"
+    path.write_text(f'{{"concept_id": {value}, "name": "zorp", "synonyms": ["zorp"]}}\n')
+    with pytest.raises(InputError, match=f":1: bad concept record: concept_id is {value}, not"):
+        ConceptSet.from_jsonl(str(path))
+    with pytest.raises(InputError, match=f":1: bad synonym set: concept_id is {value}, not"):
+        load_synonym_sets(str(path))
+
+
 # ------------------------------------------------------------- synonym set
 
 

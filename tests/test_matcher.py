@@ -1,5 +1,6 @@
 """Pattern compilation, overlapping occurrence scanning, and shard merging."""
 
+import json
 import os
 import random
 import subprocess
@@ -442,6 +443,18 @@ def test_load_hits_bad_offset(tmp_path):
     path = tmp_path / "hits.jsonl"
     path.write_text('{"caption_id": 1, "concept_id": 2, "synonym": "x", "offset": -4}\n')
     with pytest.raises(InputError, match=":1: bad hit record: offset -4"):
+        load_hits(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("caption_id", "7.9"), ("concept_id", "true"), ("offset", "true"), ("offset", "3.0")],
+)
+def test_load_hits_refuses_ids_and_offsets_that_are_not_integers(tmp_path, field, value):
+    record = {"caption_id": 7, "concept_id": 1, "synonym": "x", "offset": 0}
+    path = tmp_path / "hits.jsonl"
+    path.write_text(json.dumps({**record, field: "?"}).replace('"?"', value) + "\n")
+    with pytest.raises(InputError, match=f":1: bad hit record: {field} is {value}, not an integer"):
         load_hits(str(path))
 
 

@@ -1,5 +1,6 @@
 """Balanced retrieval, the linear probe trainer, and the ensemble rule."""
 
+import json
 import math
 
 import numpy as np
@@ -165,6 +166,17 @@ def test_retrieval_set_validations(tmp_path):
     empty.write_text("")
     with pytest.raises(InputError, match="empty"):
         RetrievalSet.from_jsonl(str(empty))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("concept_id", "true"), ("caption_id", "2.5"), ("rank", "false")]
+)
+def test_retrieval_set_refuses_fields_that_are_not_integers(tmp_path, field, value):
+    row = {"concept_id": 0, "caption_id": 1, "score": 0.5, "rank": 0}
+    path = tmp_path / "retrieval.jsonl"
+    path.write_text(json.dumps({**row, field: "?"}).replace('"?"', value) + "\n")
+    with pytest.raises(InputError, match=f":1: bad retrieval record: {field} is {value}, not"):
+        RetrievalSet.from_jsonl(str(path))
 
 
 # ------------------------------------------------------------ loss + grad
