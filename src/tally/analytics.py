@@ -90,17 +90,11 @@ class AccuracyTable:
 
 
 def _read_concept_csv(path: str, kind: str, columns: tuple[str, ...], value) -> dict:
-    """{concept_id: value(row)} in file order. A repeated concept_id would
-    replace the earlier row, so it is an error naming path:lineno."""
-    out: dict = {}
-
-    def parse(row):
-        cid = int(row["concept_id"])
-        if cid in out:
-            raise ValueError(f"duplicate concept_id {cid}")
-        out[cid] = value(row)
-
-    read_csv(path, ("concept_id", *columns), f"{kind} row", parse)
+    """{concept_id: value(row)} in file order; a repeated concept_id is refused."""
+    out = dict(read_csv(
+        path, ("concept_id", *columns), f"{kind} row",
+        lambda row: (int(row["concept_id"]), value(row)), ("concept_id", lambda r: r[0]),
+    ))
     if not out:
         raise InputError(f"{path}: empty {kind} table")
     return out

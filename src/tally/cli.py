@@ -31,7 +31,7 @@ from .analytics import AccuracyTable, FrequencyTable
 from .corpus import open_corpus, read_captions_at, shard_corpus
 from .defaults import DEFAULT_K, TRAIN_MODES
 from .errors import DivergenceError, InputError, ProviderError, TallyError
-from .io import atomic_write, json_int, read_csv, read_jsonl, string_list, write_csv
+from .io import atomic_write, json_field, read_csv, read_jsonl, string_list, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,13 +194,11 @@ def cmd_judge(args) -> dict:
         needed = {caption_id for caption_id, _, _ in validation.pairs}
         captions = _load_captions_for(needed, args.corpus, args.format)
         if args.definitions:
-            definitions = dict(
-                read_jsonl(
-                    args.definitions,
-                    "definitions record",
-                    lambda obj: (json_int(obj, "concept_id"), string_list(obj["definitions"], "definitions")),
-                )
-            )
+            definitions = dict(read_jsonl(
+                args.definitions, "definitions record",
+                lambda obj: (json_field(obj, "concept_id"), string_list(obj["definitions"], "definitions")),
+                ("concept_id", lambda r: r[0]),
+            ))
         else:
             definitions = {c.concept_id: [c.definition] for c in concepts}
         rows = []
@@ -376,16 +374,19 @@ def _switched(name: str, chosen: str) -> bool:
 
 
 def _load_syn_counts(path: str) -> tuple[dict[tuple[int, str], int], str]:
-    """Per-synonym counts from the `freq --syn-out` table, and their source."""
+    """Per-synonym counts from the `freq --syn-out` table, from the column its one count_source names."""
 
-    def parse(row):
-        source = row.get("count_source") or "filtered"
-        column = "filtered" if source == "filtered" else "raw"
-        return source, (int(row["concept_id"]), row["synonym"]), int(row[column])
+    def parse(r):
+        return (int(r["concept_id"]), r["synonym"]), int(r["raw"]), int(r["filtered"]), r["count_source"]
 
-    rows = read_csv(path, ("concept_id", "synonym", "raw", "filtered"), "synonym count row", parse)
-    source = rows[-1][0] if rows else "raw"
-    return {key: n for _, key, n in rows}, source
+    columns = ("concept_id", "synonym", "raw", "filtered", "count_source")
+    rows = read_csv(path, columns, "synonym count row", parse, ("(concept_id, synonym)", lambda r: r[0]))
+    sources = {row[3] for row in rows}
+    if len(sources) > 1 or not sources <= {"raw", "filtered"}:
+        raise InputError(f"{path}: expected one count_source, raw or filtered; got {sorted(sources)}")
+    source = sources.pop() if sources else "raw"
+    column = 2 if source == "filtered" else 1
+    return {row[0]: row[column] for row in rows}, source
 
 
 # ---------------------------------------------------------------- retrieve
@@ -439,7 +440,6 @@ def cmd_train(args) -> dict:
     init = ClassifierWeights.load(args.init)
     retrieval = reallinear.RetrievalSet.from_jsonl(args.retrieval)
     embs = _parse_embeddings(args.embeddings)
-    images = _require_embedding(embs, "images")
 
     unknown = sorted(set(retrieval.ranked) - set(init.concept_ids))
     if unknown:
@@ -449,8 +449,6 @@ def cmd_train(args) -> dict:
         for caption_id, _ in retrieval.ranked.get(cid, []):
             keys.append(str(caption_id))
             labels.append(row)
-    image_features = images.rows(keys)  # float32; train_crossmodal widens it once
-    del images  # only the gathered rows are needed from here on: free the full matrix
 
     config = reallinear.TrainConfig(
         learning_rate=args.lr,
@@ -468,8 +466,9 @@ def cmd_train(args) -> dict:
         synonym_embs = _require_embedding(embs, "synonyms")
         text_features, text_labels = reallinear.build_text_examples(sets, synonym_embs, init)
 
+    # No local holds the image matrix or its gathered rows: train_crossmodal frees them once widened.
     trained = reallinear.train_crossmodal(
-        image_features, labels, text_features, text_labels, config, init
+        _require_embedding(embs, "images").rows(keys), labels, text_features, text_labels, config, init
     )
     trained.save(args.out)
     summary = {
@@ -477,7 +476,7 @@ def cmd_train(args) -> dict:
         "mode": config.mode,
         "seed": config.seed,
         "epochs": config.epochs,
-        "image_examples": int(image_features.shape[0]),
+        "image_examples": len(labels),
         "text_examples": int(text_features.shape[0]) if text_features is not None else 0,
         "steps": trained.provenance.get("steps", 0),
         "out": args.out,
@@ -498,7 +497,8 @@ def cmd_eval(args) -> dict:
     weights = ClassifierWeights.load(args.weights)
     images = _require_embedding(_parse_embeddings(args.embeddings), "images")
     labels = read_csv(
-        args.labels, ("id", "concept_id"), "label row", lambda r: (r["id"], int(r["concept_id"]))
+        args.labels, ("id", "concept_id"), "label row", lambda r: (r["id"], int(r["concept_id"])),
+        ("id", lambda r: r[0]),
     )
     if not labels:
         raise InputError(f"{args.labels}: no labeled examples")
@@ -576,18 +576,13 @@ def cmd_report(args) -> dict:
     split_of: dict[int, str] = {}
     split_path = os.path.join(run, "split.csv")
     if os.path.exists(split_path):
-        split_rows = read_csv(
-            split_path,
-            ("concept_id", "split"),
-            "split row",
-            lambda r: (int(r["concept_id"]), r["split"]),
-        )
-        split_of = dict(split_rows)
+        split_of = analytics._read_concept_csv(split_path, "split", ("split",), lambda r: r["split"])
+        splits = list(split_of.values())
         lines += [
             "## Head/tail split",
             "",
-            f"- head: {sum(1 for _, split in split_rows if split == 'head')} concepts",
-            f"- tail: {sum(1 for _, split in split_rows if split == 'tail')} concepts",
+            f"- head: {splits.count('head')} concepts",
+            f"- tail: {splits.count('tail')} concepts",
             "",
         ]
         sections.append("split")

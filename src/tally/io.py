@@ -1,8 +1,9 @@
 """Artifact files: line-numbered readers and atomic writers.
 
 Readers stream JSONL or CSV line by line and map each record through a
-`parse` function; a malformed line, or a KeyError/TypeError/ValueError from
-`parse`, is an InputError naming path:lineno.
+`parse` function; a malformed line, a KeyError/TypeError/ValueError from
+`parse` (`json_field` is the one check of a JSON field's type), or a repeated
+key is an InputError naming path:lineno.
 
 Writers never touch the target in place. `atomic_write` fills a temp file
 in the target's directory, flushes and fsyncs it, then `os.replace`s it
@@ -40,18 +41,11 @@ def loads_line(line: str | bytes):
     return json.loads(line)
 
 
-def read_jsonl(path: str, what: str, parse) -> list:
-    """parse(obj) for each non-blank line of a JSONL file, in file order."""
-    out = []
+def read_jsonl(path: str, what: str, parse, key=None) -> list:
+    """parse(obj) for each non-blank line of a JSONL file, in file order; key as in _parse_each."""
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(loads_line(line)))
-            except _PARSE_ERRORS as e:
-                raise InputError(f"{path}:{lineno}: bad {what}: {e}") from e
-    return out
+        lines = ((lineno, line) for lineno, line in enumerate(f, 1) if line.strip())
+        return _parse_each(path, what, lines, lambda line: parse(loads_line(line)), key)
 
 
 def string_list(value, what: str) -> list[str]:
@@ -68,31 +62,47 @@ def string_list(value, what: str) -> list[str]:
     return items
 
 
-def json_int(obj: dict, key: str) -> int:
-    """obj[key] if it is a JSON integer; a bool, float, string or anything else is a TypeError."""
-    value = obj[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} is {json.dumps(value)}, not an integer")
-    return value
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string", float: "a number"}
+
+
+def json_field(obj: dict, key: str, kind: type = int, default=None):
+    """obj[key] if its JSON type is `kind` (int, bool, str, or float: any number, read as a float),
+    else a TypeError; a bool is never an int or a number. With a default, a key may be missing."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"{key} is {json.dumps(value)}, not {_KIND_NAMES[kind]}")
+    return float(value) if kind is float else value
 
 
 def read_table(path: str, what: str, field: str) -> dict[str, list[str]]:
     """{name: [strings]} from JSONL records {"name", field}; a later line for a name wins."""
-    return dict(read_jsonl(path, what, lambda obj: (str(obj["name"]), string_list(obj[field], field))))
+    return dict(read_jsonl(
+        path, what, lambda obj: (json_field(obj, "name", str), string_list(obj[field], field))
+    ))
 
 
-def read_csv(path: str, columns, what: str, parse) -> list:
-    """parse(row) for each row of a CSV file whose header holds `columns`."""
-    out = []
+def read_csv(path: str, columns, what: str, parse, key=None) -> list:
+    """parse(row) for each row of a CSV file whose header holds `columns`; key as in _parse_each."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         if not set(columns).issubset(reader.fieldnames or ()):
             raise InputError(f"{path}: expected columns {','.join(columns)}")
-        for row in reader:
-            try:
-                out.append(parse(row))
-            except _PARSE_ERRORS as e:
-                raise InputError(f"{path}:{reader.line_num}: bad {what}: {e}") from e
+        return _parse_each(path, what, ((reader.line_num, row) for row in reader), parse, key)
+
+
+def _parse_each(path: str, what: str, numbered, parse, key) -> list:
+    """parse(record) for each (lineno, record); key=(name, key_of) refuses a repeated key_of(record)."""
+    out, seen = [], set()
+    for lineno, record in numbered:
+        try:
+            out.append(parse(record))
+            if key is not None:
+                name, key_of = key
+                if (value := key_of(out[-1])) in seen:
+                    raise ValueError(f"duplicate {name} {value}")
+                seen.add(value)
+        except _PARSE_ERRORS as e:
+            raise InputError(f"{path}:{lineno}: bad {what}: {e}") from e
     return out
 
 

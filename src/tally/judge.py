@@ -26,6 +26,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analytics import FrequencyTable
 from .corpus import normalize_text
@@ -35,23 +36,14 @@ from .errors import (
     ProviderError,
     UndefinedPrecisionError,
 )
-from .io import json_int, read_jsonl, read_table, write_jsonl
+from .io import json_field, read_jsonl, read_table, write_jsonl
 from .lexicon import CacheFile, Concept, ConceptSet, post_json, table_id
 from .matcher import MatchHit, count_captions
 
 logger = logging.getLogger(__name__)
 
 
-def _flag(obj: dict, key: str = "relevant") -> bool:
-    """obj[key] if it is a JSON bool; "false" or 0 is a TypeError, not read through bool()."""
-    value = obj[key]
-    if not isinstance(value, bool):
-        raise TypeError(f"{key!r} is {type(value).__name__}, not bool")
-    return value
-
-
-@dataclass(frozen=True)
-class JudgeVerdict:
+class JudgeVerdict(NamedTuple):
     caption_id: int
     concept_id: int
     relevant: bool
@@ -75,7 +67,8 @@ class ValidationSet:
     @classmethod
     def from_jsonl(cls, path: str) -> "ValidationSet":
         def parse(obj) -> tuple[int, int, bool]:
-            return json_int(obj, "caption_id"), json_int(obj, "concept_id"), _flag(obj, "gold_relevant")
+            pair = json_field(obj, "caption_id"), json_field(obj, "concept_id")
+            return *pair, json_field(obj, "gold_relevant", bool)
 
         pairs = read_jsonl(path, "validation pair", parse)
         if not pairs:
@@ -126,7 +119,7 @@ class HttpJudge:
             "caption": caption,
         }
         return post_json(
-            self.base_url + "/judge", payload, self.timeout, _flag,
+            self.base_url + "/judge", payload, self.timeout, lambda r: json_field(r, "relevant", bool),
             f"judge failed for concept {concept.concept_id}", concept.concept_id,
         )
 
@@ -147,8 +140,9 @@ class VerdictCache:
         self._file = CacheFile(
             os.path.join(cache_dir, "verdicts.jsonl"),
             lambda obj: (
-                (obj["judge_id"], json_int(obj, "concept_id"), obj["caption_sha256"]),
-                _flag(obj),
+                (json_field(obj, "judge_id", str), json_field(obj, "concept_id"),
+                 json_field(obj, "caption_sha256", str)),
+                json_field(obj, "relevant", bool),
             ),
         )
 
@@ -347,10 +341,14 @@ def save_verdicts(outcome: JudgeOutcome, path: str) -> None:
 
 
 def load_verdicts(path: str) -> JudgeOutcome:
+    """Verdicts and undecided pairs; a (caption_id, concept_id) pair may appear once."""
+
     def parse(obj) -> JudgeVerdict | tuple[int, int]:
-        pair = json_int(obj, "caption_id"), json_int(obj, "concept_id")
+        pair = json_field(obj, "caption_id"), json_field(obj, "concept_id")
         if obj["relevant"] is None:
             return pair
-        return JudgeVerdict(*pair, _flag(obj), str(obj.get("judge_id", "")))
+        relevant = json_field(obj, "relevant", bool)
+        return JudgeVerdict(*pair, relevant, json_field(obj, "judge_id", str, default=""))
 
-    return JudgeOutcome.of(read_jsonl(path, "verdict record", parse))
+    key = ("(caption_id, concept_id)", lambda r: r[:2])  # an undecided record reads as its pair
+    return JudgeOutcome.of(read_jsonl(path, "verdict record", parse, key))

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .corpus import normalize_text
 from .errors import InputError, ProviderError
-from .io import SORTED_JSON, json_int, loads_line, read_jsonl, read_table, string_list, write_jsonl
+from .io import SORTED_JSON, json_field, loads_line, read_jsonl, read_table, string_list, write_jsonl
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingMatrix
@@ -82,7 +82,8 @@ class ConceptSet:
     @classmethod
     def from_jsonl(cls, path: str) -> "ConceptSet":
         def parse(obj) -> Concept:
-            return Concept(json_int(obj, "concept_id"), str(obj["name"]), str(obj.get("definition", "")))
+            definition = json_field(obj, "definition", str, default="")
+            return Concept(json_field(obj, "concept_id"), json_field(obj, "name", str), definition)
 
         return cls(read_jsonl(path, "concept record", parse))
 
@@ -254,7 +255,7 @@ class SynonymCache:
         digest = hashlib.sha256(self.provider_id.encode("utf-8")).hexdigest()[:8]
         self._file = CacheFile(
             os.path.join(cache_dir, f"synonyms_{safe}_{digest}.jsonl"),
-            lambda obj: (obj["name"], string_list(obj["synonyms"], "synonyms")),
+            lambda obj: (json_field(obj, "name", str), string_list(obj["synonyms"], "synonyms")),
         )
 
     def synonyms_for(self, name: str) -> list[str]:
@@ -357,9 +358,10 @@ def load_synonym_sets(path: str) -> list[SynonymSet]:
         provenance = string_list(obj.get("provenance", []), "provenance")
         if not provenance:
             provenance = [PROVENANCE_ORIGINAL] + [PROVENANCE_PROVIDER] * (len(synonyms) - 1)
-        return SynonymSet(json_int(obj, "concept_id"), synonyms, provenance, str(obj.get("name", "")))
+        name = json_field(obj, "name", str, default="")  # a missing name defaults to the first synonym
+        return SynonymSet(json_field(obj, "concept_id"), synonyms, provenance, name)
 
-    sets = read_jsonl(path, "synonym set", parse)
+    sets = read_jsonl(path, "synonym set", parse, ("concept_id", lambda s: s.concept_id))
     if not sets:
         raise InputError(f"{path}: no synonym sets")
     return sets

@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .analytics import FrequencyTable
 from .corpus import CorpusShard, iter_shard
 from .errors import EmptyPatternSetError, InputError
-from .io import json_int, read_jsonl, write_jsonl
+from .io import json_field, read_jsonl, write_jsonl
 from .lexicon import SynonymSet
 
 MODES = ("whole_word", "partial")
@@ -268,10 +268,9 @@ def load_hits(path: str) -> list[MatchHit]:
 
     def parse(obj) -> MatchHit:
         offset = obj.get("offset")
-        if offset is not None and json_int(obj, "offset") < 0:
+        if offset is not None and json_field(obj, "offset") < 0:
             raise ValueError(f"offset {offset!r} is not a byte offset")
-        return MatchHit(
-            json_int(obj, "caption_id"), json_int(obj, "concept_id"), str(obj["synonym"]), None, offset
-        )
+        ids = json_field(obj, "caption_id"), json_field(obj, "concept_id")
+        return MatchHit(*ids, json_field(obj, "synonym", str), None, offset)
 
     return read_jsonl(path, "hit record", parse)

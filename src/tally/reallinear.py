@@ -21,7 +21,7 @@ from .analytics import AccuracyTable, mean_per_class_accuracy
 from .defaults import DEFAULT_K, TRAIN_MODES
 from .embeddings import EmbeddingMatrix
 from .errors import DivergenceError, InputError
-from .io import json_int, read_jsonl, write_jsonl
+from .io import json_field, read_jsonl, write_jsonl
 from .lexicon import SynonymSet
 from .matcher import MatchHit
 from .realprompt import ClassifierWeights
@@ -57,9 +57,10 @@ class RetrievalSet:
             path,
             "retrieval record",
             lambda obj: (
-                json_int(obj, "concept_id"),
-                (json_int(obj, "rank"), json_int(obj, "caption_id"), float(obj["score"])),
+                json_field(obj, "concept_id"),
+                (json_field(obj, "rank"), json_field(obj, "caption_id"), json_field(obj, "score", float)),
             ),
+            ("(concept_id, caption_id)", lambda row: (row[0], row[1][1])),
         )
         for cid, row in rows:
             ranked.setdefault(cid, []).append(row)
@@ -278,6 +279,7 @@ def train_crossmodal(
             raise InputError(
                 f"image_only training with no examples for concepts {missing[:5]}"
             )
+    del image_features  # x holds the float64 copy; the caller may hold no other reference
     if x.shape[0] == 0:
         raise InputError("no training examples")
     if y.min() < 0 or y.max() >= n_classes:

@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
-from conftest import write_jsonl
+from conftest import fake_post, write_jsonl
 from tally.analytics import FrequencyTable
 from tally.cli import UsageError, _parse_embeddings, main
 from tally.embeddings import EmbeddingMatrix, save_embeddings
@@ -496,6 +498,101 @@ def test_report_refuses_a_repeated_concept_id(capsys, world):
     assert not (world["dir"] / "r.md").exists()
 
 
+# ------------------------------------------------------------ repeated keys
+
+
+def _prompt_argv(world, syn_counts):
+    synsets = write_jsonl(world["dir"] / "synsets_one.jsonl", [
+        {"concept_id": 0, "name": "tiger", "synonyms": ["tiger"], "provenance": ["original"]},
+    ])
+    return [
+        "prompt", "--synonyms", synsets, "--syn-counts", str(syn_counts),
+        "--templates", "photo_of", "--embeddings", f"prompts={world['prompts_emb']}",
+        "--out", art(world, "wzs.bin"),
+    ]
+
+
+def test_scan_refuses_a_repeated_synonym_set(capsys, world):
+    """Two sets for one concept_id would make scan write each of their hits twice."""
+    synsets = write_jsonl(world["dir"] / "synsets_dup.jsonl", [
+        {"concept_id": 0, "name": "tiger", "synonyms": ["tiger"], "provenance": ["original"]},
+        {"concept_id": 0, "name": "tiger", "synonyms": ["tiger"], "provenance": ["original"]},
+    ])
+    err = run_fail(capsys, [
+        "scan", "--corpus", world["corpus"], "--synonyms", synsets, "--out", art(world, "hits.jsonl"),
+    ], 2)
+    assert err["message"] == f"{synsets}:2: bad synonym set: duplicate concept_id 0"
+    assert not (world["dir"] / "hits.jsonl").exists()
+
+
+def test_prompt_refuses_a_repeated_synonym_count_row(capsys, world):
+    syn = world["dir"] / "syncounts_dup.csv"
+    syn.write_text(
+        "concept_id,synonym,raw,filtered,count_source\n"
+        "0,tiger,3,2,filtered\n0,big cat,1,1,filtered\n0,tiger,9,9,filtered\n"
+    )
+    err = run_fail(capsys, _prompt_argv(world, syn), 2)
+    assert err["message"] == f"{syn}:4: bad synonym count row: duplicate (concept_id, synonym) (0, 'tiger')"
+
+
+@pytest.mark.parametrize("sources", [("filtered", "raw"), ("raw", "filtered"), ("filtered", ""), ("x", "x")])
+def test_prompt_refuses_count_sources_other_than_one_of_raw_or_filtered(capsys, world, sources):
+    """The weights record one count_source, so every row's count must come from it."""
+    syn = world["dir"] / "syncounts_mixed.csv"
+    syn.write_text(
+        "concept_id,synonym,raw,filtered,count_source\n"
+        f"0,tiger,3,2,{sources[0]}\n0,big cat,5,1,{sources[1]}\n"
+    )
+    err = run_fail(capsys, _prompt_argv(world, syn), 2)
+    assert err["error"] == "InputError"
+    assert err["message"].startswith(f"{syn}: expected one count_source, raw or filtered; got ")
+    assert not (world["dir"] / "wzs.bin").exists()
+
+
+def test_prompt_requires_the_count_source_column(capsys, world):
+    syn = world["dir"] / "syncounts_old.csv"
+    syn.write_text("concept_id,synonym,raw,filtered\n0,tiger,3,2\n")
+    err = run_fail(capsys, _prompt_argv(world, syn), 2)
+    assert err["message"] == f"{syn}: expected columns concept_id,synonym,raw,filtered,count_source"
+
+
+def test_judge_precision_refuses_repeated_definitions(capsys, world):
+    """dict() would keep only the last line's definitions for the concept."""
+    defs = write_jsonl(world["dir"] / "definitions_dup.jsonl", [
+        {"concept_id": 0, "definitions": ["a large striped cat"]},
+        {"concept_id": 0, "definitions": ["panthera tigris, the animal"]},
+    ])
+    err = run_fail(capsys, [
+        "judge", "--concepts", world["concepts"], "--corpus", world["corpus"],
+        "--blocklist", world["blocklist"], "--precision",
+        "--validation", world["validation"], "--definitions", defs,
+        "--out", art(world, "precision.csv"),
+    ], 2)
+    assert err["message"] == f"{defs}:2: bad definitions record: duplicate concept_id 0"
+
+
+def test_eval_refuses_a_repeated_label_id(capsys, world):
+    """A repeated image would be scored twice."""
+    ClassifierWeights("W", [0, 1, 2], np.eye(3, 8, dtype=np.float32)).save(art(world, "w.bin"))
+    labels = world["dir"] / "labels_dup.csv"
+    labels.write_text("id,concept_id\nt0,0\nt1,0\nt0,0\n")
+    err = run_fail(capsys, [
+        "eval", "--weights", art(world, "w.bin"), "--embeddings", f"images={world['images_emb']}",
+        "--labels", str(labels), "--out", art(world, "acc.csv"),
+    ], 2)
+    assert err["message"] == f"{labels}:4: bad label row: duplicate id t0"
+
+
+def test_report_refuses_a_repeated_concept_id_in_split(capsys, world):
+    """Each split row was counted, so a repeated concept was reported twice."""
+    run = world["dir"] / "dup_split_run"
+    run.mkdir()
+    (run / "freq.csv").write_text("concept_id,name,raw,filtered\n3,tiger,10,9\n4,cat,1,0\n")
+    (run / "split.csv").write_text("concept_id,split\n3,head\n4,tail\n4,tail\n")
+    err = run_fail(capsys, ["report", "--run-dir", str(run), "--out", art(world, "r.md")], 2)
+    assert err["message"] == f"{run / 'split.csv'}:4: bad split row: duplicate concept_id 4"
+
+
 def test_report_names_missing_artifact(capsys, world):
     (world["dir"] / "empty_run").mkdir()
     err = run_fail(capsys, [
@@ -847,6 +944,47 @@ def test_judge_over_tsv_equals_the_streaming_read(capsys, world):
         world["dir"] / "streamed.jsonl"
     ).read_bytes()
     assert any(not v.relevant for v in outcome.verdicts)  # the shark is still vetoed
+
+
+# ----------------------------------------------------------------- workers
+
+
+def judge_double(meet=0):
+    """A requests.post stand-in for the judge route, on conftest.fake_post (no
+    socket): a caption is relevant unless it mentions a shark. With meet=N the
+    first N calls wait at one Barrier(N), so they return only if N calls are
+    in flight at once; otherwise the barrier times out and the judge fails."""
+    barrier = threading.Barrier(meet, timeout=10) if meet else None
+    lock = threading.Lock()
+    calls = []
+
+    def post(url, **kwargs):
+        with lock:
+            calls.append(url)
+            waits = len(calls) <= meet
+        if waits:
+            barrier.wait()
+        reply = {"relevant": "shark" not in kwargs["json"]["caption"]}
+        return fake_post(json.dumps(reply).encode("utf-8"))(url, **kwargs)
+
+    post.calls = calls
+    return post
+
+
+def test_judge_workers_keep_calls_in_flight_and_verdicts_byte_identical(capsys, world, monkeypatch):
+    run_pipeline_through_freq(capsys, world)
+    verdicts = {}
+    for workers, double in ((1, judge_double()), (4, judge_double(meet=4))):
+        monkeypatch.setattr(requests, "post", double)
+        run_ok(capsys, [
+            "judge", "--concepts", world["concepts"], "--corpus", world["corpus"],
+            "--hits", art(world, "hits.jsonl"), "--judge-url", "http://judge.invalid",
+            "--cache-dir", art(world, f"cache_{workers}"), "--workers", str(workers),
+            "--out", art(world, f"verdicts_{workers}.jsonl"),
+        ])
+        assert len(double.calls) == 11  # one call per (caption, concept) pair
+        verdicts[workers] = (world["dir"] / f"verdicts_{workers}.jsonl").read_bytes()
+    assert verdicts[4] == verdicts[1]
 
 
 # --------------------------------------------------------------- precision

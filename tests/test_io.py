@@ -100,11 +100,60 @@ def test_loads_line_is_json_loads_on_bytes_that_are_not_utf8(data):
     assert _outcome(io.loads_line, data) == _outcome(json.loads, data)
 
 
-def test_json_int_refuses_bools_floats_and_strings():
-    assert io.json_int({"caption_id": 7}, "caption_id") == 7
+def test_json_field_refuses_bools_floats_and_strings_as_integers():
+    assert io.json_field({"caption_id": 7}, "caption_id") == 7
     for value in (True, 7.0, 7.9, "7", None, [7]):
         with pytest.raises(TypeError, match="caption_id is .*, not an integer"):
-            io.json_int({"caption_id": value}, "caption_id")
+            io.json_field({"caption_id": value}, "caption_id")
+
+
+@pytest.mark.parametrize(
+    "kind, good, bad",
+    [
+        (bool, [True, False], [0, 1, "false", None]),
+        (str, ["", "tiger"], [None, 7, True, ["tiger"], {"a": 1}]),
+        (float, [0.5, 3, -1e3], [True, "0.5", None, [1.0]]),
+    ],
+)
+def test_json_field_checks_each_kind_with_one_wording(kind, good, bad):
+    label = {bool: "a boolean", str: "a string", float: "a number"}[kind]
+    for value in good:
+        assert io.json_field({"k": value}, "k", kind) == value
+    for value in bad:
+        with pytest.raises(TypeError) as err:
+            io.json_field({"k": value}, "k", kind)
+        assert str(err.value) == f"k is {json.dumps(value)}, not {label}"
+
+
+def test_json_field_reads_a_number_as_a_float():
+    value = io.json_field({"score": 3}, "score", float)
+    assert type(value) is float and value == 3.0
+
+
+def test_json_field_default_covers_only_a_missing_key():
+    assert io.json_field({}, "name", str, default="") == ""
+    with pytest.raises(TypeError, match="name is null, not a string"):
+        io.json_field({"name": None}, "name", str, default="")
+    with pytest.raises(KeyError):
+        io.json_field({}, "name", str)
+
+
+def test_read_jsonl_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"id": 3}\n\n{"id": 4}\n{"id": 3}\n')
+    assert io.read_jsonl(str(path), "thing", lambda obj: obj["id"]) == [3, 4, 3]
+    with pytest.raises(InputError) as err:
+        io.read_jsonl(str(path), "thing", lambda obj: obj["id"], ("id", lambda r: r))
+    assert str(err.value) == f"{path}:4: bad thing: duplicate id 3"
+
+
+def test_read_csv_refuses_a_repeated_key_as_parsed(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id\n3\n4\n03\n")
+    assert io.read_csv(str(path), ("id",), "thing", lambda r: int(r["id"])) == [3, 4, 3]
+    with pytest.raises(InputError) as err:
+        io.read_csv(str(path), ("id",), "thing", lambda r: int(r["id"]), ("id", lambda r: r))
+    assert str(err.value) == f"{path}:4: bad thing: duplicate id 3"
 
 
 def test_read_csv_checks_header(tmp_path):

@@ -506,7 +506,7 @@ def test_http_judge_error_status(http_provider):
 
 def test_http_judge_non_bool_relevant(http_provider):
     http_provider.route("/judge", lambda req: (200, {"relevant": 1}))
-    with pytest.raises(ProviderError, match="not bool"):
+    with pytest.raises(ProviderError, match="relevant is 1, not a boolean"):
         HttpJudge(http_provider.url).judge(Concept(0, "tiger"), "text")
 
 
@@ -515,7 +515,7 @@ def test_http_judge_non_bool_relevant(http_provider):
     [
         (requests.ConnectionError("refused"), "refused"),
         (b"<html>not json", "judge failed for concept 7"),
-        (b'{"relevant": "yes"}', "not bool"),
+        (b'{"relevant": "yes"}', "not a boolean"),
         (b'{"verdict": true}', "relevant"),
     ],
 )
@@ -545,10 +545,10 @@ def test_verdicts_round_trip(tmp_path):
 def test_verdict_and_validation_files_refuse_a_relevant_that_is_not_a_bool(tmp_path, relevant):
     path = tmp_path / "verdicts.jsonl"
     path.write_text(f'{{"caption_id": 1, "concept_id": 0, "relevant": {relevant}}}\n')
-    with pytest.raises(InputError, match=":1: bad verdict record: 'relevant' is"):
+    with pytest.raises(InputError, match=f":1: bad verdict record: relevant is {relevant}, not a boolean"):
         load_verdicts(str(path))
     path.write_text(f'{{"caption_id": 1, "concept_id": 0, "gold_relevant": {relevant}}}\n')
-    with pytest.raises(InputError, match=":1: bad validation pair: 'gold_relevant' is"):
+    with pytest.raises(InputError, match=f":1: bad validation pair: gold_relevant is {relevant}, not a boolean"):
         ValidationSet.from_jsonl(str(path))
 
 
@@ -562,6 +562,39 @@ def test_verdict_and_validation_files_refuse_ids_that_are_not_integers(tmp_path,
     path.write_text(f'{{{ids}, "gold_relevant": true}}\n')
     with pytest.raises(InputError, match=":1: bad validation pair: .*_id is .*, not an integer"):
         ValidationSet.from_jsonl(str(path))
+
+
+@pytest.mark.parametrize("relevant", ["true", "null"])
+def test_load_verdicts_refuses_a_repeated_pair(tmp_path, relevant):
+    """relevant_pairs would keep only the last verdict of a repeated pair."""
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text(
+        '{"caption_id": 1, "concept_id": 0, "judge_id": "j", "relevant": false}\n'
+        '{"caption_id": 2, "concept_id": 0, "judge_id": "j", "relevant": true}\n'
+        f'{{"caption_id": 1, "concept_id": 0, "judge_id": "j", "relevant": {relevant}}}\n'
+    )
+    with pytest.raises(InputError) as err:
+        load_verdicts(str(path))
+    assert str(err.value) == f"{path}:3: bad verdict record: duplicate (caption_id, concept_id) (1, 0)"
+
+
+def test_load_verdicts_checks_judge_id_only_when_present(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text('{"caption_id": 1, "concept_id": 0, "relevant": true}\n')
+    assert load_verdicts(str(path)).verdicts == [JudgeVerdict(1, 0, True, "")]
+    path.write_text('{"caption_id": 1, "concept_id": 0, "judge_id": 7, "relevant": true}\n')
+    with pytest.raises(InputError, match=":1: bad verdict record: judge_id is 7, not a string"):
+        load_verdicts(str(path))
+
+
+@pytest.mark.parametrize("field, value", [("judge_id", "null"), ("caption_sha256", "7")])
+def test_verdict_cache_refuses_key_fields_that_are_not_strings(tmp_path, field, value):
+    path = tmp_path / "cache" / "verdicts.jsonl"
+    path.parent.mkdir()
+    bad = json.dumps({**json.loads(_verdict_line(2, True)), field: "?"}).replace('"?"', value)
+    path.write_text(_verdict_line(1, True) + "\n" + bad + "\n")
+    with pytest.raises(InputError, match=f"verdicts.jsonl:2: bad cache record: {field} is {value}, not a string"):
+        VerdictCache(str(tmp_path / "cache"), RuleStubJudge({}))
 
 
 def test_load_verdicts_bad_record(tmp_path):

@@ -552,3 +552,66 @@ def test_load_synonym_sets_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(InputError):
         load_synonym_sets(str(path))
+
+
+# ------------------------------------------------------- typed string fields
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("name", "null"), ("name", '["tiger"]'), ("name", "7"), ("definition", "null"), ("definition", '{"a": 1}')],
+)
+def test_concepts_refuse_a_name_or_definition_that_is_not_a_string(tmp_path, field, value):
+    """A null name is refused, not read through str() as a concept "None" whose
+    synonym "none" would match every caption with that word."""
+    path = tmp_path / "concepts.jsonl"
+    record = {"concept_id": 0, "name": "tiger", "definition": "a striped cat", field: "?"}
+    path.write_text(json.dumps(record).replace('"?"', value) + "\n")
+    message = f"{path}:1: bad concept record: {field} is {value}, not a string"
+    with pytest.raises(InputError, match=re_escape(message)):
+        ConceptSet.from_jsonl(str(path))
+
+
+def test_concepts_keep_definition_optional(tmp_path):
+    path = tmp_path / "concepts.jsonl"
+    path.write_text('{"concept_id": 0, "name": "tiger"}\n')
+    assert ConceptSet.from_jsonl(str(path))[0].definition == ""
+
+
+def test_load_synonym_sets_refuses_a_name_that_is_not_a_string(tmp_path):
+    path = tmp_path / "synsets.jsonl"
+    path.write_text('{"concept_id": 1, "name": null, "synonyms": ["tiger"]}\n')
+    with pytest.raises(InputError, match=re_escape(f"{path}:1: bad synonym set: name is null, not a string")):
+        load_synonym_sets(str(path))
+    path.write_text('{"concept_id": 1, "synonyms": ["tiger"]}\n')  # a missing name is the first synonym
+    assert load_synonym_sets(str(path))[0].name == "tiger"
+
+
+def test_load_synonym_sets_refuses_a_repeated_concept_id(tmp_path):
+    """Two sets for one concept would make scan write each of its hits twice."""
+    path = tmp_path / "synsets.jsonl"
+    path.write_text(
+        '{"concept_id": 1, "synonyms": ["tiger"]}\n'
+        '{"concept_id": 2, "synonyms": ["cat"]}\n'
+        '{"concept_id": 1, "synonyms": ["tiger", "big cat"]}\n'
+    )
+    with pytest.raises(InputError, match=re_escape(f"{path}:3: bad synonym set: duplicate concept_id 1")):
+        load_synonym_sets(str(path))
+
+
+@pytest.mark.parametrize("value", ["null", '["tiger"]'])
+def test_fixture_and_synonym_cache_refuse_a_name_that_is_not_a_string(tmp_path, value):
+    path = tmp_path / "fixture.jsonl"
+    path.write_text(f'{{"name": "cat", "synonyms": ["kitty"]}}\n{{"name": {value}, "synonyms": ["big cat"]}}\n')
+    message = f"{path}:2: bad synonym record: name is {value}, not a string"
+    with pytest.raises(InputError, match=re_escape(message)):
+        FixtureSynonymProvider.from_jsonl(str(path))
+
+    cache_dir = tmp_path / "cache"
+    provider = CountingProvider({"cat": ["kitty"]})
+    SynonymCache(str(cache_dir), provider).synonyms_for("cat")
+    (cache,) = cache_dir.glob("*.jsonl")
+    cache.write_text(cache.read_text() + f'{{"name": {value}, "synonyms": ["big cat"]}}\n')
+    message = f"{cache.name}:2: bad cache record: name is {value}, not a string"
+    with pytest.raises(InputError, match=re_escape(message)):
+        SynonymCache(str(cache_dir), provider)

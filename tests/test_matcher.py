@@ -465,6 +465,16 @@ def test_load_hits_bad_record(tmp_path):
         load_hits(str(path))
 
 
+@pytest.mark.parametrize("value", ["null", "7", '["x"]'])
+def test_load_hits_refuses_a_synonym_that_is_not_a_string(tmp_path, value):
+    """A null synonym is refused, not read through str() as the synonym "None"."""
+    path = tmp_path / "hits.jsonl"
+    path.write_text(f'{{"caption_id": 1, "concept_id": 2, "synonym": {value}, "offset": 0}}\n')
+    with pytest.raises(InputError) as err:
+        load_hits(str(path))
+    assert str(err.value) == f"{path}:1: bad hit record: synonym is {value}, not a string"
+
+
 def test_normalize_patterns_validator():
     """The token index assumes normalized patterns; SynonymSet enforces it."""
     SynonymSet(0, ["big cat"], ["manual"])

@@ -179,6 +179,30 @@ def test_retrieval_set_refuses_fields_that_are_not_integers(tmp_path, field, val
         RetrievalSet.from_jsonl(str(path))
 
 
+def test_retrieval_set_refuses_a_repeated_caption_for_a_concept(tmp_path):
+    """Contiguous ranks do not catch one caption listed twice: it would be trained on twice."""
+    path = tmp_path / "retrieval.jsonl"
+    path.write_text(
+        '{"concept_id": 0, "caption_id": 1, "score": 0.5, "rank": 0}\n'
+        '{"concept_id": 1, "caption_id": 1, "score": 0.5, "rank": 0}\n'
+        '{"concept_id": 0, "caption_id": 1, "score": 0.5, "rank": 1}\n'
+    )
+    with pytest.raises(InputError) as err:
+        RetrievalSet.from_jsonl(str(path))
+    assert str(err.value) == f"{path}:3: bad retrieval record: duplicate (concept_id, caption_id) (0, 1)"
+
+
+@pytest.mark.parametrize("value", ['"0.5"', "true", "null"])
+def test_retrieval_set_refuses_a_score_that_is_not_a_number(tmp_path, value):
+    path = tmp_path / "retrieval.jsonl"
+    path.write_text(f'{{"concept_id": 0, "caption_id": 1, "score": {value}, "rank": 0}}\n')
+    with pytest.raises(InputError, match=f":1: bad retrieval record: score is {value}, not a number"):
+        RetrievalSet.from_jsonl(str(path))
+    path.write_text('{"concept_id": 0, "caption_id": 1, "score": 1, "rank": 0}\n')
+    ((_, score),) = RetrievalSet.from_jsonl(str(path)).ranked[0]
+    assert type(score) is float and score == 1.0
+
+
 # ------------------------------------------------------------ loss + grad
 
 
