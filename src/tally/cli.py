@@ -6,9 +6,10 @@ readable JSON error to stderr and exit nonzero:
 
     0  success
     1  usage error (bad flags)
-    2  bad input (missing/malformed files, inconsistent artifacts)
+    2  bad input (a TallyError or OSError: missing/malformed files, whose
+       message names the file, or inconsistent artifacts)
     3  provider failure (synonym or judge endpoint)
-    4  internal error
+    4  internal error (any other exception, or training diverged)
 
 Runs are idempotent: identical inputs (and seed) produce byte-identical
 outputs. Nothing touches the network unless a provider URL flag is given.
@@ -96,22 +97,6 @@ def _load_captions_for(hit_ids: set[int], path: str, fmt: str) -> dict[int, str]
         if rec.id in hit_ids:
             captions[rec.id] = rec.norm_text
     return captions
-
-
-def _hit_offsets(hits: list[matcher.MatchHit], path: str) -> dict[int, int]:
-    """The corpus byte offset the scan recorded for each hit caption."""
-    offsets: dict[int, int] = {}
-    for h in hits:
-        if h.offset is None:
-            raise InputError(
-                f"{path}: hit for caption id {h.caption_id} has no offset; rerun tally scan"
-            )
-        if offsets.setdefault(h.caption_id, h.offset) != h.offset:
-            raise InputError(
-                f"{path}: caption id {h.caption_id} has two offsets, "
-                f"{offsets[h.caption_id]} and {h.offset}"
-            )
-    return offsets
 
 
 # ---------------------------------------------------------------- synonyms
@@ -220,7 +205,7 @@ def cmd_judge(args) -> dict:
     if not args.hits:
         raise UsageError("--hits is required unless --precision is given")
     hits = matcher.load_hits(args.hits)
-    captions = read_captions_at(args.corpus, args.format, _hit_offsets(hits, args.hits))
+    captions = read_captions_at(args.corpus, args.format, {h.caption_id: h.offset for h in hits})
     outcome = judge_mod.judge_hits(
         hits,
         concepts,
@@ -526,19 +511,22 @@ def _md_table(header: list[str], rows) -> list[str]:
     return [lines[0], "|" + "---|" * len(header), *lines[1:]]
 
 
+def _scored_section(path: str, columns, what: str, title: str, header: list[str]) -> list[str]:
+    """A report section from a CSV of (key, score, count) rows, one row per key, scores to 6 places."""
+    key, score, count = columns
+    rows = read_csv(
+        path, columns, what, lambda r: (r[key], f"{float(r[score]):.6f}", r[count]), (key, lambda r: r[0])
+    )
+    return [f"## {title}", "", *_md_table(header, rows), ""]
+
+
 def cmd_report(args) -> dict:
     run = args.run_dir
-    freq_path = os.path.join(run, "freq.csv")
-    if not os.path.exists(freq_path):
-        raise InputError(f"run dir {run} is missing required artifacts: ['freq.csv']")
-
     lines: list[str] = ["# tally run report", ""]
     sections = []
 
-    freq = analytics._read_concept_csv(
-        freq_path,
-        "frequency",
-        ("raw", "filtered"),
+    freq = analytics._read_concept_csv(  # required: a missing freq.csv is an OSError naming it
+        os.path.join(run, "freq.csv"), "frequency", ("raw", "filtered"),
         lambda r: (r.get("name", ""), int(r["raw"]), int(r["filtered"])),
     )
     freq_rows = sorted(((cid, *row) for cid, row in freq.items()), key=lambda r: (-r[3], r[0]))
@@ -562,15 +550,10 @@ def cmd_report(args) -> dict:
 
     bins_path = os.path.join(run, "bins.csv")
     if os.path.exists(bins_path):
-        rows = read_csv(
-            bins_path,
-            ("bin", "mean_acc", "count"),
-            "bin row",
-            lambda r: (r["bin"], f"{float(r['mean_acc']):.6f}", r["count"]),
+        lines += _scored_section(
+            bins_path, ("bin", "mean_acc", "count"), "bin row",
+            "Frequency bins (log scale)", ["bin", "mean accuracy", "concepts"],
         )
-        lines += ["## Frequency bins (log scale)", ""]
-        lines += _md_table(["bin", "mean accuracy", "concepts"], rows)
-        lines.append("")
         sections.append("bins")
 
     split_of: dict[int, str] = {}
@@ -589,22 +572,15 @@ def cmd_report(args) -> dict:
 
     corr_path = os.path.join(run, "correlation.csv")
     if os.path.exists(corr_path):
-        rows = read_csv(
-            corr_path,
-            ("method", "value", "n"),
-            "correlation row",
-            lambda r: (r["method"], f"{float(r['value']):.6f}", r["n"]),
-        )
-        lines += ["## Frequency–accuracy correlation", ""]
-        lines += _md_table(["method", "value", "n"], rows)
-        lines.append("")
+        cols = ["method", "value", "n"]
+        lines += _scored_section(corr_path, cols, "correlation row", "Frequency–accuracy correlation", cols)
         sections.append("correlation")
 
     chosen_path = os.path.join(run, "chosen.csv")
     if os.path.exists(chosen_path):
         columns = ["concept_id", "name", "chosen", "count"]
-        rows = read_csv(chosen_path, columns, "chosen row", lambda r: [r[c] for c in columns])
-        switched = [r for r in rows if _switched(r[1], r[2])]
+        rows = analytics._read_concept_csv(chosen_path, "chosen", columns[1:], lambda r: [r[c] for c in columns])
+        switched = [r for r in rows.values() if _switched(r[1], r[2])]
         lines += [
             "## Chosen synonyms",
             "",
@@ -766,12 +742,8 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        return _fail("UsageError", str(e), EXIT_USAGE)
-    try:
+        args = build_parser().parse_args(argv)
         summary = args.handler(args)
     except UsageError as e:
         return _fail("UsageError", str(e), EXIT_USAGE)
@@ -779,9 +751,9 @@ def main(argv=None) -> int:
         return _fail(type(e).__name__, str(e), EXIT_PROVIDER)
     except DivergenceError as e:
         return _fail(type(e).__name__, str(e), EXIT_INTERNAL)
-    except (TallyError, OSError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except (TallyError, OSError) as e:  # the readers name the file of any bad input
         return _fail(type(e).__name__, str(e), EXIT_INPUT)
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:  # a fault of the program, not of its input
         return _fail(type(e).__name__, str(e), EXIT_INTERNAL)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

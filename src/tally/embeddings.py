@@ -136,7 +136,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
 def load_embeddings(path: str) -> EmbeddingMatrix:
     """Load an embedding file, reading each vector straight into its row.
 
-    load_embeddings(save_embeddings(M)) reproduces M bit-exactly.
+    load_embeddings(save_embeddings(M)) reproduces M bit-exactly; a format error names the path.
     """
     with open(path, "rb", buffering=1 << 20) as f:
         size = os.fstat(f.fileno()).st_size
@@ -148,7 +148,7 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
                 if record is not None:
                     what = f"{what} of record {record}"
                 raise EmbeddingFormatError(
-                    f"truncated file: expected {n} more bytes for {what} "
+                    f"{path}: truncated file: expected {n} more bytes for {what} "
                     f"at offset {pos}, only {size - pos} remain"
                 )
             pos += n
@@ -156,10 +156,10 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
 
         magic = f.read(claim(4, "magic"))
         if magic != MAGIC:
-            raise EmbeddingFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            raise EmbeddingFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         version, dim, count, flags = struct.unpack("<IIQI", f.read(claim(20, "header")))
         if version != VERSION:
-            raise EmbeddingFormatError(f"unsupported version {version}")
+            raise EmbeddingFormatError(f"{path}: unsupported version {version}")
         vec_bytes = 4 * dim
         if count * (4 + vec_bytes) > size - pos:  # rows that cannot fit: refuse, not allocate
             claim(count * (4 + vec_bytes), f"{count} records of dim {dim}")
@@ -167,13 +167,14 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
         rows = np.empty((count, dim), dtype="<f4")
         for i in range(count):
             key_len = int.from_bytes(f.read(claim(4, "key length", i)), "little")
-            keys.append(f.read(claim(key_len, "key", i)).decode("utf-8"))
+            try:
+                keys.append(f.read(claim(key_len, "key", i)).decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise EmbeddingFormatError(f"{path}: key of record {i} is not UTF-8: {e}") from None
             claim(vec_bytes, "vector", i)
             f.readinto(rows[i])  # writers replace files whole, so no read comes up short
         if pos != size:
-            raise EmbeddingFormatError(
-                f"trailing garbage: file has {size} bytes, records end at {pos}"
-            )
+            raise EmbeddingFormatError(f"{path}: trailing garbage: file has {size} bytes, records end at {pos}")
     return EmbeddingMatrix(keys, rows, normalized=bool(flags & FLAG_NORMALIZED))
 
 

@@ -1,9 +1,10 @@
 """Artifact files: line-numbered readers and atomic writers.
 
-Readers stream JSONL or CSV line by line and map each record through a
-`parse` function; a malformed line, a KeyError/TypeError/ValueError from
-`parse` (`json_field` is the one check of a JSON field's type), or a repeated
-key is an InputError naming path:lineno.
+Readers read JSONL or CSV line by line and map each record through a `parse`
+function; a line that is not UTF-8 (decoded inside the per-line check), a
+malformed line, a KeyError/TypeError/ValueError/InputError from `parse`
+(`json_field` is the one check of a JSON field's type), or a repeated key is
+an InputError naming path:lineno; `read_json`'s one value names the path.
 
 Writers never touch the target in place. `atomic_write` fills a temp file
 in the target's directory, flushes and fsyncs it, then `os.replace`s it
@@ -21,7 +22,7 @@ import os
 
 from .errors import InputError
 
-_PARSE_ERRORS = (KeyError, TypeError, ValueError)  # json.JSONDecodeError is a ValueError
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, InputError)  # ValueError: JSONDecodeError, UnicodeDecodeError
 # The encoder json.dumps(obj, sort_keys=True) uses, built once: dumps builds a new one per call.
 SORTED_JSON = json.JSONEncoder(sort_keys=True)
 _DECODER = json.JSONDecoder()  # the decoder json.loads uses
@@ -43,9 +44,23 @@ def loads_line(line: str | bytes):
 
 def read_jsonl(path: str, what: str, parse, key=None) -> list:
     """parse(obj) for each non-blank line of a JSONL file, in file order; key as in _parse_each."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         lines = ((lineno, line) for lineno, line in enumerate(f, 1) if line.strip())
-        return _parse_each(path, what, lines, lambda line: parse(loads_line(line)), key)
+        return _parse_each(path, what, lines, lambda line: parse(loads_line(line.decode("utf-8"))), key)
+
+
+def read_lines(path: str, what: str) -> list[str]:
+    """Each line of a UTF-8 text file with its line end, split as universal newlines split it."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines(keepends=True)  # bytes split at "\n", "\r\n" and "\r" alone
+    return _parse_each(path, what, enumerate(lines, 1), lambda line: line.decode("utf-8"), None)
+
+
+def read_json(path: str, what: str, parse):
+    """parse(obj) of a UTF-8 file that holds one JSON value."""
+    with open(path, "rb") as f:
+        data = f.read()
+    return _parse_each(path, what, [(None, data)], lambda text: parse(json.loads(text.decode("utf-8"))), None)[0]
 
 
 def string_list(value, what: str) -> list[str]:
@@ -83,15 +98,15 @@ def read_table(path: str, what: str, field: str) -> dict[str, list[str]]:
 
 def read_csv(path: str, columns, what: str, parse, key=None) -> list:
     """parse(row) for each row of a CSV file whose header holds `columns`; key as in _parse_each."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if not set(columns).issubset(reader.fieldnames or ()):
-            raise InputError(f"{path}: expected columns {','.join(columns)}")
-        return _parse_each(path, what, ((reader.line_num, row) for row in reader), parse, key)
+    reader = csv.DictReader(read_lines(path, what))
+    if not set(columns).issubset(reader.fieldnames or ()):
+        raise InputError(f"{path}: expected columns {','.join(columns)}")
+    return _parse_each(path, what, ((reader.line_num, row) for row in reader), parse, key)
 
 
 def _parse_each(path: str, what: str, numbered, parse, key) -> list:
-    """parse(record) for each (lineno, record); key=(name, key_of) refuses a repeated key_of(record)."""
+    """parse(record) for each (lineno, record), a lineno of None naming the path alone;
+    key=(name, key_of) refuses a repeated key_of(record)."""
     out, seen = [], set()
     for lineno, record in numbered:
         try:
@@ -102,7 +117,8 @@ def _parse_each(path: str, what: str, numbered, parse, key) -> list:
                     raise ValueError(f"duplicate {name} {value}")
                 seen.add(value)
         except _PARSE_ERRORS as e:
-            raise InputError(f"{path}:{lineno}: bad {what}: {e}") from e
+            where = path if lineno is None else f"{path}:{lineno}"
+            raise InputError(f"{where}: bad {what}: {e}") from e
     return out
 
 

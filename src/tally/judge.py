@@ -70,7 +70,7 @@ class ValidationSet:
             pair = json_field(obj, "caption_id"), json_field(obj, "concept_id")
             return *pair, json_field(obj, "gold_relevant", bool)
 
-        pairs = read_jsonl(path, "validation pair", parse)
+        pairs = read_jsonl(path, "validation pair", parse, ("validation pair", lambda p: p[:2]))
         if not pairs:
             raise InputError(f"{path}: empty validation set")
         return cls(pairs)

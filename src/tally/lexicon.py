@@ -85,7 +85,7 @@ class ConceptSet:
             definition = json_field(obj, "definition", str, default="")
             return Concept(json_field(obj, "concept_id"), json_field(obj, "name", str), definition)
 
-        return cls(read_jsonl(path, "concept record", parse))
+        return cls(read_jsonl(path, "concept record", parse, ("concept_id", lambda c: c.concept_id)))
 
 
 @dataclass

@@ -48,7 +48,7 @@ class MatchHit(NamedTuple):
 
     span indexes the normalized text: norm_text[span[0]:span[1]] == synonym.
     Hits read back from disk carry no span (the file schema omits it).
-    offset is the byte offset of the caption's corpus line, when known.
+    offset is the byte offset of the caption's corpus line; the hits file requires it.
     """
 
     caption_id: int
@@ -258,19 +258,29 @@ def scan_shards(
 
 
 def save_hits(hits: list[MatchHit], path: str) -> None:
-    """Write hits as JSONL {"caption_id","concept_id","synonym","offset"}, scan order."""
-    keys = ("caption_id", "concept_id", "synonym", "offset")
-    write_jsonl(path, ({key: getattr(h, key) for key in keys} for h in hits))
+    """Write hits as JSONL {"caption_id","concept_id","synonym","offset"}, scan order; each needs an offset."""
+
+    def record(h: MatchHit) -> dict:
+        if h.offset is None:
+            raise ValueError(f"hit for caption id {h.caption_id} has no offset")
+        return {"caption_id": h.caption_id, "concept_id": h.concept_id, "synonym": h.synonym, "offset": h.offset}
+
+    write_jsonl(path, map(record, hits))
 
 
 def load_hits(path: str) -> list[MatchHit]:
-    """Read hits back; a line without "offset" (an older scan) reads as None."""
+    """Read hits back, each with the byte offset its caption was scanned at. A line
+    without one (a scan older than offsets) or a caption at two offsets is an InputError."""
+    offsets: dict[int, int] = {}
 
     def parse(obj) -> MatchHit:
-        offset = obj.get("offset")
-        if offset is not None and json_field(obj, "offset") < 0:
-            raise ValueError(f"offset {offset!r} is not a byte offset")
-        ids = json_field(obj, "caption_id"), json_field(obj, "concept_id")
-        return MatchHit(*ids, json_field(obj, "synonym", str), None, offset)
+        caption_id = json_field(obj, "caption_id")
+        if "offset" not in obj:
+            raise ValueError(f"hit for caption id {caption_id} has no offset; rerun tally scan")
+        if (offset := json_field(obj, "offset")) < 0:
+            raise ValueError(f"offset {offset} is not a byte offset")
+        if (first := offsets.setdefault(caption_id, offset)) != offset:
+            raise ValueError(f"caption id {caption_id} has two offsets, {first} and {offset}")
+        return MatchHit(caption_id, json_field(obj, "concept_id"), json_field(obj, "synonym", str), None, offset)
 
     return read_jsonl(path, "hit record", parse)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix, load_embeddings, row_blocks, save_embeddings
 from .errors import InputError
-from .io import atomic_write
+from .io import atomic_write, json_field, read_json, read_lines
 from .lexicon import SynonymSet
 
 logger = logging.getLogger(__name__)
@@ -58,9 +58,8 @@ class PromptTemplateSet:
     @classmethod
     def from_file(cls, path: str) -> "PromptTemplateSet":
         """One template per line; blank lines ignored."""
-        with open(path, encoding="utf-8") as f:
-            templates = [line.rstrip("\n") for line in f if line.strip()]
-        return cls(templates, source=str(path))
+        lines = read_lines(path, "template line")
+        return cls([line.rstrip("\r\n") for line in lines if line.strip()], source=str(path))
 
 
 def build_prompts(synonym: str, templates: PromptTemplateSet) -> list[str]:
@@ -131,18 +130,18 @@ class ClassifierWeights:
 
     @classmethod
     def load(cls, path: str) -> "ClassifierWeights":
+        """The matrix and its sidecar, whose role is a string and each concept_id a JSON integer."""
         mat = load_embeddings(path)
-        with open(str(path) + ".json", encoding="utf-8") as f:
-            sidecar = json.load(f)
-        concept_ids = [int(c) for c in sidecar["concept_ids"]]
-        if [str(c) for c in concept_ids] != mat.keys:
-            raise InputError(f"{path}: sidecar concept_ids disagree with matrix keys")
-        return cls(
-            role=sidecar["role"],
-            concept_ids=concept_ids,
-            matrix=mat.data,
-            provenance=sidecar.get("provenance", {}),
-        )
+
+        def parse(sidecar) -> "ClassifierWeights":
+            ids = sidecar["concept_ids"]
+            if bad := [c for c in ids if type(c) is not int]:
+                raise TypeError(f"concept_ids holds {json.dumps(bad[0])}, not an integer")
+            if [str(c) for c in ids] != mat.keys:
+                raise ValueError("concept_ids disagree with the matrix keys")
+            return cls(json_field(sidecar, "role", str), ids, mat.data, sidecar.get("provenance", {}))
+
+        return read_json(str(path) + ".json", "weights sidecar", parse)
 
 
 def build_zeroshot(

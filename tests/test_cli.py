@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline, exit codes, and byte-stable outputs."""
 
+import builtins
 import json
 import os
 import shutil
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 import requests
 
+import tally.errors
 from conftest import fake_post, write_jsonl
 from tally.analytics import FrequencyTable
 from tally.cli import UsageError, _parse_embeddings, main
 from tally.embeddings import EmbeddingMatrix, save_embeddings
-from tally.errors import DivergenceError
+from tally.errors import DivergenceError, InputError
 from tally.realprompt import ClassifierWeights
 from tally.reallinear import RetrievalSet
 
@@ -30,12 +32,23 @@ def run_ok(capsys, argv):
     return json.loads(line)
 
 
+def _error_names(module, base) -> set[str]:
+    return {name for name, obj in vars(module).items() if isinstance(obj, type) and issubclass(obj, base)}
+
+
+# What a failing run may report: a usage error, one of the package's own
+# errors, or an OSError. A bare KeyError or UnicodeDecodeError in the output
+# means an input escaped the readers' checks.
+BOUNDARY_ERRORS = {"UsageError"} | _error_names(tally.errors, Exception) | _error_names(builtins, OSError)
+
+
 def run_fail(capsys, argv, expect_code):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == expect_code, f"exit {code}, expected {expect_code}: {captured.err}"
     err = json.loads(captured.err.strip())
     assert err["exit_code"] == expect_code
+    assert err["error"] in BOUNDARY_ERRORS, f"{err['error']} is not a reported error type: {err}"
     return err
 
 
@@ -593,6 +606,27 @@ def test_report_refuses_a_repeated_concept_id_in_split(capsys, world):
     assert err["message"] == f"{run / 'split.csv'}:4: bad split row: duplicate concept_id 4"
 
 
+@pytest.mark.parametrize(
+    "name, body, message",
+    [
+        ("chosen.csv", "concept_id,name,chosen,count\n3,tiger,big cat,5\n3,tiger,big cat,5\n",
+         "3: bad chosen row: duplicate concept_id 3"),
+        ("bins.csv", "bin,mean_acc,count\n1,0.5,1\n1,0.5,1\n", "3: bad bin row: duplicate bin 1"),
+        ("correlation.csv", "method,value,n\npearson,0.5,3\npearson,0.5,3\n",
+         "3: bad correlation row: duplicate method pearson"),
+    ],
+)
+def test_report_refuses_a_repeated_key_in_each_keyed_table(capsys, world, name, body, message):
+    """A repeated chosen row was counted twice: "concepts: 2" for one concept."""
+    run = world["dir"] / "dup_table_run"
+    run.mkdir()
+    (run / "freq.csv").write_text("concept_id,name,raw,filtered\n3,tiger,10,9\n")
+    (run / name).write_text(body)
+    err = run_fail(capsys, ["report", "--run-dir", str(run), "--out", art(world, "r.md")], 2)
+    assert err["message"] == f"{run / name}:{message}"
+    assert not (world["dir"] / "r.md").exists()
+
+
 def test_report_names_missing_artifact(capsys, world):
     (world["dir"] / "empty_run").mkdir()
     err = run_fail(capsys, [
@@ -695,6 +729,119 @@ def test_divergence_exits_4(capsys, world, monkeypatch, tmp_path):
         "--out", str(tmp_path / "w.bin"),
     ], 4)
     assert err["error"] == "DivergenceError"
+
+
+def test_an_unexpected_exception_exits_4_not_2(capsys, world, monkeypatch):
+    """Only a TallyError or an OSError is bad input; any other exception is a fault of the program."""
+
+    def broken(path):
+        raise KeyError("concept_id")
+
+    monkeypatch.setattr("tally.lexicon.ConceptSet.from_jsonl", broken)
+    code = main([
+        "synonyms", "--concepts", world["concepts"], "--fixture", world["fixture"],
+        "--cache-dir", art(world, "cache"), "--out", art(world, "synsets.jsonl"),
+    ])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 4 and err == {"error": "KeyError", "exit_code": 4, "message": "'concept_id'"}
+
+
+# --------------------------------------------------------- input boundary
+
+
+def _weights_with_sidecar(tmp_path, sidecar: bytes | None = None) -> str:
+    """w.bin holding concept 1 in 8 dims, its sidecar replaced by `sidecar` when given."""
+    path = str(tmp_path / "w.bin")
+    ClassifierWeights("W", [1], np.eye(1, 8, dtype=np.float32)).save(path)
+    if sidecar is not None:
+        Path(path + ".json").write_bytes(sidecar)
+    return path
+
+
+def _eval_argv(world, weights, images=None):
+    return [
+        "eval", "--weights", weights, "--embeddings", f"images={images or world['images_emb']}",
+        "--labels", world["labels"], "--out", art(world, "acc_bad.csv"),
+    ]
+
+
+def _bad_concepts(world, tmp_path):
+    path = tmp_path / "concepts_ff.jsonl"
+    path.write_bytes(b'{"concept_id": 0, "name": "tig\xffer"}\n')
+    return [
+        "synonyms", "--concepts", str(path), "--fixture", world["fixture"],
+        "--cache-dir", art(world, "cache"), "--out", art(world, "synsets.jsonl"),
+    ], path
+
+
+def _bad_freq_table(world, tmp_path):
+    path = tmp_path / "freq_ff.csv"
+    path.write_bytes(b"concept_id,name,raw,filtered\n0,tiger,4,3\n1,c\xffat,3,3\n2,atm,4,4\n")
+    return ["analyze", "--freq", str(path), "--acc", world["acc"], "--out-dir", art(world, "an")], path
+
+
+def _sidecar_case(body: bytes):
+    def build(world, tmp_path):
+        weights = _weights_with_sidecar(tmp_path, body)
+        return _eval_argv(world, weights), weights + ".json"
+
+    return build
+
+
+def _bad_templates(world, tmp_path):
+    path = tmp_path / "tpl.txt"
+    path.write_bytes(b"a photo of {}\na \xff picture of {}\n")
+    syn = tmp_path / "syncounts_one.csv"
+    syn.write_text("concept_id,synonym,raw,filtered,count_source\n0,tiger,3,2,filtered\n")
+    argv = _prompt_argv(world, syn)
+    argv[argv.index("photo_of")] = str(path)
+    return argv, path
+
+
+def _bad_embedding_key(world, tmp_path):
+    path = tmp_path / "images_ff.bin"
+    save_embeddings(EmbeddingMatrix(["t0"], np.eye(1, 8, dtype=np.float32)), str(path))
+    raw = bytearray(path.read_bytes())
+    raw[28] = 0xFF  # the first byte of the first key, after the 24-byte header and its length
+    path.write_bytes(bytes(raw))
+    return _eval_argv(world, _weights_with_sidecar(tmp_path), path), path
+
+
+def _hits_case(records):
+    def build(world, tmp_path):
+        path = write_jsonl(tmp_path / "hits_bad.jsonl", records)
+        return ["freq", "--hits", path, "--concepts", world["concepts"], "--out", art(world, "f.csv")], path
+
+    return build
+
+
+_HIT = {"caption_id": 0, "concept_id": 0, "synonym": "tiger", "offset": 0}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(_bad_concepts, id="jsonl-not-utf8"),
+        pytest.param(_bad_freq_table, id="csv-not-utf8"),
+        pytest.param(_sidecar_case(b'{"concept'), id="sidecar-truncated"),
+        pytest.param(_sidecar_case(b'{"concept_ids": [1]}'), id="sidecar-without-role"),
+        pytest.param(_sidecar_case(b'{"concept_ids": [1.9], "role": "W"}'), id="sidecar-float-id"),
+        pytest.param(_sidecar_case(b'{"concept_ids": [true], "role": "W"}'), id="sidecar-bool-id"),
+        pytest.param(_bad_templates, id="templates-not-utf8"),
+        pytest.param(_bad_embedding_key, id="embedding-key-not-utf8"),
+        pytest.param(_hits_case([{k: v for k, v in _HIT.items() if k != "offset"}]), id="hits-without-offset"),
+        pytest.param(
+            _hits_case([_HIT, {**_HIT, "concept_id": 1, "synonym": "cat", "offset": 242}]),
+            id="hits-caption-at-two-offsets",
+        ),
+    ],
+)
+def test_every_bad_input_exits_2_naming_its_file(capsys, world, tmp_path, build):
+    """Each input here once escaped as a bare exception or loaded silently."""
+    argv, path = build(world, tmp_path)
+    err = run_fail(capsys, argv, 2)
+    assert issubclass(getattr(tally.errors, err["error"]), InputError), err
+    assert str(path) in err["message"]
 
 
 def test_benchmark_tracer_finds_every_wrapped_name():
@@ -905,7 +1052,8 @@ def test_judge_refuses_hits_without_offsets(capsys, world):
     ])
     err = run_fail(capsys, judge_argv(world, hits="old_hits.jsonl"), 2)
     assert err["error"] == "InputError"
-    assert f"{art(world, 'old_hits.jsonl')}: hit for caption id 0 has no offset" in err["message"]
+    old_hits = art(world, "old_hits.jsonl")
+    assert f"{old_hits}:1: bad hit record: hit for caption id 0 has no offset" in err["message"]
     assert "rerun tally scan" in err["message"]
 
 

@@ -30,11 +30,13 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
         ('{"x": 1}\n\n{"y": 2}\n', 3),  # KeyError from parse
         ('{"x": "one"}\n', 1),  # ValueError from parse
         ('[1]\n', 1),  # TypeError from parse
+        (b'{"x": 1}\n{"x": "\xff"}\n', 2),  # not UTF-8: decoded inside the per-line check
+        ('\ufeff{"x": 1}\n', 1),  # a BOM, which json.loads refuses in a str
     ],
 )
 def test_read_jsonl_names_path_and_line(tmp_path, body, lineno):
     path = tmp_path / "a.jsonl"
-    path.write_text(body)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
     with pytest.raises(InputError, match=rf"a\.jsonl:{lineno}: bad widget: "):
         io.read_jsonl(str(path), "widget", lambda obj: int(obj["x"]))
 
@@ -163,6 +165,17 @@ def test_read_csv_checks_header(tmp_path):
         io.read_csv(str(path), ("a", "b"), "row", dict)
 
 
+def test_read_csv_splits_lines_as_universal_newlines_and_names_a_line_not_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    for newline in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(newline.join([b"a,b", b"1,2", b'3,"x\ny"', b""]))
+        rows = io.read_csv(str(path), ("a", "b"), "row", lambda r: (r["a"], r["b"]))
+        assert rows == [("1", "2"), ("3", "x\ny")]
+    path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    with pytest.raises(InputError, match=r"t\.csv:3: bad row: 'utf-8' codec can't decode byte 0xff"):
+        io.read_csv(str(path), ("a", "b"), "row", dict)
+
+
 def test_read_csv_names_path_and_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n3,x\n")
@@ -184,7 +197,7 @@ def test_write_jsonl_and_csv_bytes(tmp_path):
 
 def test_writer_killed_mid_write_keeps_previous_artifact(tmp_path):
     path = tmp_path / "hits.jsonl"
-    save_hits([MatchHit(0, 0, "tiger"), MatchHit(1, 0, "tiger")], str(path))
+    save_hits([MatchHit(0, 0, "tiger", None, 0), MatchHit(1, 0, "tiger", None, 40)], str(path))
     before = path.read_bytes()
 
     class Killed:
@@ -194,7 +207,7 @@ def test_writer_killed_mid_write_keeps_previous_artifact(tmp_path):
             raise RuntimeError("killed mid-write")
 
     with pytest.raises(RuntimeError, match="killed"):
-        save_hits([MatchHit(5, 1, "cat"), Killed()], str(path))
+        save_hits([MatchHit(5, 1, "cat", None, 80), Killed()], str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["hits.jsonl"]
     assert [h.caption_id for h in load_hits(str(path))] == [0, 1]

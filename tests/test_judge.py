@@ -467,6 +467,14 @@ def test_validation_set_jsonl(tmp_path):
     assert vs.pairs == [(1, 0, True), (2, 0, False)]
 
 
+def test_validation_set_jsonl_names_a_repeated_pair_by_line(tmp_path):
+    path = tmp_path / "validation.jsonl"
+    path.write_text('{"caption_id": 1, "concept_id": 0, "gold_relevant": true}\n' * 2)
+    with pytest.raises(InputError) as err:
+        ValidationSet.from_jsonl(str(path))
+    assert str(err.value) == f"{path}:2: bad validation pair: duplicate validation pair (1, 0)"
+
+
 # ------------------------------------------------------------------- http
 
 

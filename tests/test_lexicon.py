@@ -67,6 +67,23 @@ def test_concept_set_bad_record_locates_line(tmp_path):
         ConceptSet.from_jsonl(str(path))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ('{"concept_id": 0, "name": "tiger"}\n{"concept_id": 0, "name": "lion"}\n',
+         "2: bad concept record: duplicate concept_id 0"),
+        ('{"concept_id": 4, "name": "  "}\n', "1: bad concept record: concept 4 has an empty name"),
+    ],
+)
+def test_concept_set_jsonl_names_each_refused_record_by_line(tmp_path, body, message):
+    """The record checks of ConceptSet and Concept report path:lineno, like the field checks."""
+    path = tmp_path / "concepts.jsonl"
+    path.write_text(body)
+    with pytest.raises(InputError) as err:
+        ConceptSet.from_jsonl(str(path))
+    assert str(err.value) == f"{path}:{message}"
+
+
 @pytest.mark.parametrize("value", ["1.9", "true", '"1"'])
 def test_concepts_and_synonym_sets_refuse_a_concept_id_that_is_not_an_integer(tmp_path, value):
     path = tmp_path / "c.jsonl"

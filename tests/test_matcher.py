@@ -460,7 +460,7 @@ def test_load_hits_refuses_ids_and_offsets_that_are_not_integers(tmp_path, field
 
 def test_load_hits_bad_record(tmp_path):
     path = tmp_path / "hits.jsonl"
-    path.write_text('{"caption_id": 1, "concept_id": 2, "synonym": "x"}\n{"caption_id": 1}\n')
+    path.write_text('{"caption_id": 1, "concept_id": 2, "synonym": "x", "offset": 0}\n{"caption_id": 1}\n')
     with pytest.raises(InputError, match=":2"):
         load_hits(str(path))
 
