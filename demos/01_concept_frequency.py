@@ -60,8 +60,8 @@ def main() -> None:
     # referent. A blocklist rule plays that role offline.
     judge = RuleStubJudge({"tiger": ["tiger shark"]})
     captions_by_id = {r.id: r.norm_text for r in records}
-    outcome = judge_hits(result.hits, concepts, captions_by_id, judge)
-    table, _ = filtered_frequency(result.hits, outcome.verdicts, concepts)
+    verdicts = judge_hits(result.hits, concepts, captions_by_id, judge)
+    table, _ = filtered_frequency(result.hits, verdicts, concepts)
 
     print("\nconcept          raw  filtered")
     for concept in concepts:

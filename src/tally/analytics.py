@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, UndefinedCorrelationError
-from .io import read_csv, write_csv
+from .io import named, read_csv, write_csv
 
 ZERO_BIN = -1  # dedicated bin index for zero-count concepts
 
@@ -49,9 +49,9 @@ class FrequencyTable:
 
     @classmethod
     def from_csv(cls, path: str) -> "FrequencyTable":
-        return cls(_read_concept_csv(
-            path, "frequency", ("raw", "filtered"), lambda r: (int(r["raw"]), int(r["filtered"]))
-        ))
+        return _read_concept_csv(
+            path, "frequency", ("raw", "filtered"), lambda r: (int(r["raw"]), int(r["filtered"])), cls
+        )
 
 
 @dataclass
@@ -84,20 +84,20 @@ class AccuracyTable:
 
     @classmethod
     def from_csv(cls, path: str) -> "AccuracyTable":
-        return cls(_read_concept_csv(
-            path, "accuracy", ("accuracy",), lambda r: float(r["accuracy"])
-        ))
+        return _read_concept_csv(path, "accuracy", ("accuracy",), lambda r: float(r["accuracy"]), cls)
 
 
-def _read_concept_csv(path: str, kind: str, columns: tuple[str, ...], value) -> dict:
-    """{concept_id: value(row)} in file order; a repeated concept_id is refused."""
+def _read_concept_csv(path: str, kind: str, columns: tuple[str, ...], value, make=dict):
+    """make({concept_id: value(row)}) in file order, an InputError from `make` naming the path;
+    a repeated concept_id is refused."""
     out = dict(read_csv(
         path, ("concept_id", *columns), f"{kind} row",
         lambda row: (int(row["concept_id"]), value(row)), ("concept_id", lambda r: r[0]),
     ))
     if not out:
         raise InputError(f"{path}: empty {kind} table")
-    return out
+    with named(path):
+        return make(out)
 
 
 def _bin_index(n: int, base: float) -> int:

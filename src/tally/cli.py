@@ -206,7 +206,7 @@ def cmd_judge(args) -> dict:
         raise UsageError("--hits is required unless --precision is given")
     hits = matcher.load_hits(args.hits)
     captions = read_captions_at(args.corpus, args.format, {h.caption_id: h.offset for h in hits})
-    outcome = judge_mod.judge_hits(
+    verdicts = judge_mod.judge_hits(
         hits,
         concepts,
         captions,
@@ -215,13 +215,13 @@ def cmd_judge(args) -> dict:
         backoff_s=args.backoff,
         max_workers=args.workers,
     )
-    judge_mod.save_verdicts(outcome, args.out)
+    judge_mod.save_verdicts(verdicts, args.out)
     return {
         "command": "judge",
         "judge_id": judge.judge_id,
-        "pairs": len(outcome.verdicts) + len(outcome.undecided),
-        "relevant": sum(1 for v in outcome.verdicts if v.relevant),
-        "undecided": len(outcome.undecided),
+        "pairs": len(verdicts),
+        "relevant": sum(v.relevant is True for v in verdicts),
+        "undecided": sum(v.relevant is None for v in verdicts),
         "out": args.out,
     }
 
@@ -235,16 +235,11 @@ def cmd_freq(args) -> dict:
     names = {c.concept_id: c.name for c in concepts} if concepts else None
 
     table, syn_counts_raw = matcher.count_captions(hits, concepts.ids if concepts else None)
-    syn_counts_filt = syn_counts_raw
-    count_source = "raw"
-    undecided = 0
+    syn_counts_filt, count_source, verdicts = syn_counts_raw, "raw", []
     if args.verdicts:
-        outcome = judge_mod.load_verdicts(args.verdicts)
-        table, syn_counts_filt = judge_mod.filtered_frequency(
-            hits, outcome.verdicts, concepts, undecided=outcome.undecided
-        )
+        verdicts = judge_mod.load_verdicts(args.verdicts)
+        table, syn_counts_filt = judge_mod.filtered_frequency(hits, verdicts, concepts)
         count_source = "filtered"
-        undecided = len(outcome.undecided)
 
     table.to_csv(args.out, names=names)
     if args.syn_out:
@@ -262,7 +257,7 @@ def cmd_freq(args) -> dict:
         "concepts": len(table.counts),
         "raw_total": sum(table.raw(c) for c in table.counts),
         "filtered_total": sum(table.filtered(c) for c in table.counts),
-        "undecided": undecided,
+        "undecided": sum(v.relevant is None for v in verdicts),
         "count_source": count_source,
         "out": args.out,
         "syn_out": args.syn_out,
@@ -392,8 +387,7 @@ def cmd_retrieve(args) -> dict:
 
     restrict = None
     if args.verdicts:
-        outcome = judge_mod.load_verdicts(args.verdicts)
-        restrict = judge_mod.relevant_pairs(hits, outcome.verdicts, outcome.undecided)
+        restrict = judge_mod.relevant_pairs(hits, judge_mod.load_verdicts(args.verdicts))
     queries = reallinear.concept_queries(sets, synonym_embs, use_synonyms=(args.query == "synonyms"))
     result = reallinear.retrieve_balanced(hits, caption_embs, queries, k=args.k, restrict_to=restrict)
     result.to_jsonl(args.out)

@@ -32,7 +32,7 @@ from .errors import (
     MissingEmbeddingError,
     ZeroVectorError,
 )
-from .io import atomic_write
+from .io import atomic_write, named
 
 MAGIC = b"CEMB"
 VERSION = 1
@@ -136,7 +136,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str) -> None:
 def load_embeddings(path: str) -> EmbeddingMatrix:
     """Load an embedding file, reading each vector straight into its row.
 
-    load_embeddings(save_embeddings(M)) reproduces M bit-exactly; a format error names the path.
+    load_embeddings(save_embeddings(M)) reproduces M bit-exactly; every InputError names the path.
     """
     with open(path, "rb", buffering=1 << 20) as f:
         size = os.fstat(f.fileno()).st_size
@@ -175,7 +175,8 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
             f.readinto(rows[i])  # writers replace files whole, so no read comes up short
         if pos != size:
             raise EmbeddingFormatError(f"{path}: trailing garbage: file has {size} bytes, records end at {pos}")
-    return EmbeddingMatrix(keys, rows, normalized=bool(flags & FLAG_NORMALIZED))
+    with named(path):
+        return EmbeddingMatrix(keys, rows, normalized=bool(flags & FLAG_NORMALIZED))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

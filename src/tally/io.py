@@ -2,9 +2,10 @@
 
 Readers read JSONL or CSV line by line and map each record through a `parse`
 function; a line that is not UTF-8 (decoded inside the per-line check), a
-malformed line, a KeyError/TypeError/ValueError/InputError from `parse`
-(`json_field` is the one check of a JSON field's type), or a repeated key is
-an InputError naming path:lineno; `read_json`'s one value names the path.
+malformed line or CSV row, a KeyError/TypeError/ValueError/InputError from
+`parse` (`json_field` is the one check of a JSON field's type), or a repeated
+key is an InputError naming path:lineno; `read_json`'s one value, a CSV header
+and an InputError inside `named(path)` name the path.
 
 Writers never touch the target in place. `atomic_write` fills a temp file
 in the target's directory, flushes and fsyncs it, then `os.replace`s it
@@ -99,9 +100,23 @@ def read_table(path: str, what: str, field: str) -> dict[str, list[str]]:
 def read_csv(path: str, columns, what: str, parse, key=None) -> list:
     """parse(row) for each row of a CSV file whose header holds `columns`; key as in _parse_each."""
     reader = csv.DictReader(read_lines(path, what))
-    if not set(columns).issubset(reader.fieldnames or ()):
-        raise InputError(f"{path}: expected columns {','.join(columns)}")
-    return _parse_each(path, what, ((reader.line_num, row) for row in reader), parse, key)
+    try:
+        if not set(columns).issubset(reader.fieldnames or ()):
+            raise InputError(f"{path}: expected columns {','.join(columns)}")
+        return _parse_each(path, what, ((reader.line_num, row) for row in reader), parse, key)
+    except csv.Error as e:  # the reader's own; DictReader.line_num is 0 until the header is read
+        where = f"{path}:{reader.reader.line_num}: bad {what}" if reader.line_num else f"{path}: bad header"
+        raise InputError(f"{where}: {e}") from e
+
+
+@contextlib.contextmanager
+def named(path: str):
+    """An InputError raised inside, keeping its type, names `path` first."""
+    try:
+        yield
+    except InputError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def _parse_each(path: str, what: str, numbered, parse, key) -> list:

@@ -15,8 +15,8 @@ Judges are pluggable:
 A VerdictCache wraps a judge and answers from disk, keyed by (judge_id,
 concept_id, caption hash), so re-runs are deterministic and never re-query
 the provider. Transient judge failures retry with exponential backoff; when
-the budget is spent the pair is reported undecided and excluded from
-filtered counts rather than silently counted either way.
+the budget is spent the pair's verdict is undecided (relevant=None) and it
+is excluded from filtered counts rather than silently counted either way.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import hashlib
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analytics import FrequencyTable
@@ -44,9 +44,11 @@ logger = logging.getLogger(__name__)
 
 
 class JudgeVerdict(NamedTuple):
+    """One judged pair; an undecided pair has relevant=None and judge_id ""."""
+
     caption_id: int
     concept_id: int
-    relevant: bool
+    relevant: bool | None
     judge_id: str
 
 
@@ -170,23 +172,6 @@ class VerdictCache:
         )
 
 
-@dataclass
-class JudgeOutcome:
-    verdicts: list[JudgeVerdict]
-    undecided: list[tuple[int, int]] = field(default_factory=list)  # (caption_id, concept_id)
-
-    @classmethod
-    def of(cls, results) -> "JudgeOutcome":
-        """Split a stream of verdicts and undecided pairs, keeping each in order."""
-        outcome = cls(verdicts=[])
-        for r in results:
-            if isinstance(r, JudgeVerdict):
-                outcome.verdicts.append(r)
-            else:
-                outcome.undecided.append(r)
-        return outcome
-
-
 def judge_hits(
     hits: list[MatchHit],
     concepts: ConceptSet,
@@ -196,29 +181,23 @@ def judge_hits(
     max_attempts: int = 3,
     backoff_s: float = 0.5,
     max_workers: int = 1,
-) -> JudgeOutcome:
+) -> list[JudgeVerdict]:
     """One verdict per unique (caption, concept) pair among the hits.
 
     `captions` maps caption_id -> normalized text (only ids appearing in
     hits are required); pass a VerdictCache as `judge` to cache verdicts.
     Provider failures retry up to max_attempts with exponential backoff; an
-    exhausted budget marks the pair undecided rather than failing the run.
-    Verdict order follows first appearance in the hit stream regardless of
-    worker count.
+    exhausted budget gives the pair relevant=None (undecided) rather than
+    failing the run. Verdict order follows first appearance in the hit stream
+    regardless of worker count.
     """
-    pairs: list[tuple[int, int]] = []
-    seen = set()
-    for h in hits:
-        key = (h.caption_id, h.concept_id)
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
+    pairs = list(dict.fromkeys((h.caption_id, h.concept_id) for h in hits))  # first appearance order
     for caption_id, concept_id in pairs:
         if caption_id not in captions:
             raise InputError(f"no caption text supplied for caption_id {caption_id}")
         concepts[concept_id]  # raises InputError when unknown
 
-    def decide(pair: tuple[int, int]) -> JudgeVerdict | tuple[int, int]:
+    def decide(pair: tuple[int, int]) -> JudgeVerdict:
         caption_id, concept_id = pair
         last_error: Exception | None = None
         for attempt in range(max_attempts):
@@ -236,66 +215,52 @@ def judge_hits(
             max_attempts,
             last_error,
         )
-        return pair
+        return JudgeVerdict(caption_id, concept_id, None, "")
 
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(decide, pairs))
-    else:
-        results = [decide(p) for p in pairs]
-
-    return JudgeOutcome.of(results)
+            return list(pool.map(decide, pairs))
+    return [decide(p) for p in pairs]
 
 
-def relevant_pairs(
-    hits: list[MatchHit],
-    verdicts: list[JudgeVerdict],
-    undecided: list[tuple[int, int]] | None,
-) -> set[tuple[int, int]]:
+def relevant_pairs(hits: list[MatchHit], verdicts: list[JudgeVerdict]) -> set[tuple[int, int]]:
     """The judged-relevant (caption, concept) pairs of the hits.
 
-    Every pair in the hits must carry a verdict or be listed as undecided —
-    anything else is a ConsistencyError, because a silently unjudged hit
-    would make raw and filtered counts incomparable. Undecided pairs are
-    never relevant.
+    Every pair in the hits must carry exactly one verdict, undecided ones
+    included — anything else is a ConsistencyError, because a silently
+    unjudged hit would make raw and filtered counts incomparable, and of two
+    verdicts for one pair neither is the answer. Undecided pairs are never
+    relevant.
     """
-    verdict_map = {(v.caption_id, v.concept_id): v.relevant for v in verdicts}
-    undecided_set = set(undecided or [])
+    relevance: dict[tuple[int, int], bool | None] = {}
+    for v in verdicts:
+        key = (v.caption_id, v.concept_id)
+        if key in relevance:
+            raise ConsistencyError(f"pair (caption {v.caption_id}, concept {v.concept_id}) has two verdicts")
+        relevance[key] = v.relevant
     for h in hits:
-        key = (h.caption_id, h.concept_id)
-        if key not in verdict_map and key not in undecided_set:
-            raise ConsistencyError(
-                f"hit (caption {h.caption_id}, concept {h.concept_id}) has no verdict "
-                f"and is not marked undecided"
-            )
-    return {key for key, rel in verdict_map.items() if rel and key not in undecided_set}
+        if (h.caption_id, h.concept_id) not in relevance:
+            raise ConsistencyError(f"hit (caption {h.caption_id}, concept {h.concept_id}) has no verdict")
+    return {key for key, rel in relevance.items() if rel}
 
 
 def filtered_frequency(
     hits: list[MatchHit],
     verdicts: list[JudgeVerdict],
     concepts: ConceptSet | None = None,
-    *,
-    undecided: list[tuple[int, int]] | None = None,
 ) -> tuple[FrequencyTable, dict[tuple[int, str], int]]:
     """Per-concept counts of captions with ≥1 hit (raw) and ≥1 relevant hit
     (filtered), and captions per (concept, synonym) counting only relevant
     pairs. Undecided pairs count toward raw but not filtered."""
-    relevant = relevant_pairs(hits, verdicts, undecided)
     ids = concepts.ids if concepts is not None else None
-    return count_captions(hits, ids, relevant)
+    return count_captions(hits, ids, relevant_pairs(hits, verdicts))
 
 
-def filtered_synonym_counts(
-    hits: list[MatchHit],
-    verdicts: list[JudgeVerdict],
-    *,
-    undecided: list[tuple[int, int]] | None = None,
-) -> dict[tuple[int, str], int]:
+def filtered_synonym_counts(hits: list[MatchHit], verdicts: list[JudgeVerdict]) -> dict[tuple[int, str], int]:
     """Captions per (concept, synonym) counting only judged-relevant pairs."""
-    return filtered_frequency(hits, verdicts, undecided=undecided)[1]
+    return filtered_frequency(hits, verdicts)[1]
 
 
 def definition_precision(
@@ -332,23 +297,17 @@ def definition_precision(
     return agree / judged_relevant
 
 
-def save_verdicts(outcome: JudgeOutcome, path: str) -> None:
-    """Verdicts, then undecided pairs as {"relevant": null, "judge_id": ""}."""
-    rows = [(v.caption_id, v.concept_id, v.relevant, v.judge_id) for v in outcome.verdicts]
-    rows += [(caption_id, concept_id, None, "") for caption_id, concept_id in outcome.undecided]
-    keys = ("caption_id", "concept_id", "relevant", "judge_id")
-    write_jsonl(path, (dict(zip(keys, row)) for row in rows))
+def save_verdicts(verdicts: list[JudgeVerdict], path: str) -> None:
+    """Decided verdicts, then undecided ones ({"relevant": null, "judge_id": ""}), each in order."""
+    write_jsonl(path, (v._asdict() for v in sorted(verdicts, key=lambda v: v.relevant is None)))
 
 
-def load_verdicts(path: str) -> JudgeOutcome:
-    """Verdicts and undecided pairs; a (caption_id, concept_id) pair may appear once."""
+def load_verdicts(path: str) -> list[JudgeVerdict]:
+    """Verdicts in file order; a (caption_id, concept_id) pair may appear once."""
 
-    def parse(obj) -> JudgeVerdict | tuple[int, int]:
+    def parse(obj) -> JudgeVerdict:
         pair = json_field(obj, "caption_id"), json_field(obj, "concept_id")
-        if obj["relevant"] is None:
-            return pair
-        relevant = json_field(obj, "relevant", bool)
+        relevant = None if obj["relevant"] is None else json_field(obj, "relevant", bool)
         return JudgeVerdict(*pair, relevant, json_field(obj, "judge_id", str, default=""))
 
-    key = ("(caption_id, concept_id)", lambda r: r[:2])  # an undecided record reads as its pair
-    return JudgeOutcome.of(read_jsonl(path, "verdict record", parse, key))
+    return read_jsonl(path, "verdict record", parse, ("(caption_id, concept_id)", lambda v: v[:2]))

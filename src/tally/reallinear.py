@@ -70,7 +70,7 @@ class RetrievalSet:
         for cid, rows in ranked.items():
             rows.sort()
             if [r for r, _, _ in rows] != list(range(len(rows))):
-                raise InputError(f"concept {cid}: ranks are not contiguous from 0")
+                raise InputError(f"{path}: concept {cid}: ranks are not contiguous from 0")
             out[cid] = [(caption_id, score) for _, caption_id, score in rows]
         return cls(out)
 

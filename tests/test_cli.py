@@ -774,10 +774,28 @@ def _bad_concepts(world, tmp_path):
     ], path
 
 
-def _bad_freq_table(world, tmp_path):
-    path = tmp_path / "freq_ff.csv"
-    path.write_bytes(b"concept_id,name,raw,filtered\n0,tiger,4,3\n1,c\xffat,3,3\n2,atm,4,4\n")
-    return ["analyze", "--freq", str(path), "--acc", world["acc"], "--out-dir", art(world, "an")], path
+_FREQ_HEADER = b"concept_id,name,raw,filtered\n"
+_FREQ_ROWS = b"0,tiger,4,3\n1,cat,3,3\n2,atm,4,4\n"
+
+
+def _table_case(command, freq=_FREQ_HEADER + _FREQ_ROWS, acc=None):
+    """`analyze` or `report` over a run dir holding freq.csv and, when given, acc_bad.csv,
+    the one of them that is bad."""
+
+    def build(world, tmp_path):
+        run = tmp_path / "bad_run"
+        run.mkdir()
+        bad = run / "freq.csv"
+        bad.write_bytes(freq)
+        acc_path = world["acc"]
+        if acc is not None:
+            bad = acc_path = run / "acc_bad.csv"
+            bad.write_bytes(acc)
+        if command == "report":
+            return ["report", "--run-dir", str(run), "--out", art(world, "r.md")], bad
+        return ["analyze", "--freq", str(run / "freq.csv"), "--acc", str(acc_path), "--out-dir", art(world, "an")], bad
+
+    return build
 
 
 def _sidecar_case(body: bytes):
@@ -798,13 +816,30 @@ def _bad_templates(world, tmp_path):
     return argv, path
 
 
-def _bad_embedding_key(world, tmp_path):
-    path = tmp_path / "images_ff.bin"
-    save_embeddings(EmbeddingMatrix(["t0"], np.eye(1, 8, dtype=np.float32)), str(path))
-    raw = bytearray(path.read_bytes())
-    raw[28] = 0xFF  # the first byte of the first key, after the 24-byte header and its length
-    path.write_bytes(bytes(raw))
-    return _eval_argv(world, _weights_with_sidecar(tmp_path), path), path
+def _embedding_case(patches: dict[int, bytes]):
+    """eval over a one-row images file, unit vector and unflagged, with bytes replaced at offsets:
+    the 24-byte header ends in the flags at 20, the key "t0" is at 28 and its vector at 30."""
+
+    def build(world, tmp_path):
+        path = tmp_path / "images_bad.bin"
+        save_embeddings(EmbeddingMatrix(["t0"], np.eye(1, 8, dtype=np.float32)), str(path))
+        raw = bytearray(path.read_bytes())
+        for offset, data in patches.items():
+            raw[offset:offset + len(data)] = data
+        path.write_bytes(bytes(raw))
+        return _eval_argv(world, _weights_with_sidecar(tmp_path), path), path
+
+    return build
+
+
+def _bad_retrieval_ranks(world, tmp_path):
+    path = tmp_path / "retrieval.jsonl"
+    write_jsonl(path, [{"concept_id": 1, "caption_id": 0, "score": 0.9, "rank": 1}])
+    return [
+        "train", "--retrieval", str(path), "--init", _weights_with_sidecar(tmp_path),
+        "--mode", "image_only", "--embeddings", f"images={world['images_emb']}",
+        "--out", str(tmp_path / "w_out.bin"),
+    ], path
 
 
 def _hits_case(records):
@@ -822,13 +857,30 @@ _HIT = {"caption_id": 0, "concept_id": 0, "synonym": "tiger", "offset": 0}
     "build",
     [
         pytest.param(_bad_concepts, id="jsonl-not-utf8"),
-        pytest.param(_bad_freq_table, id="csv-not-utf8"),
+        pytest.param(_table_case("analyze", _FREQ_HEADER + b"0,tiger,4,3\n1,c\xffat,3,3\n"), id="csv-not-utf8"),
+        pytest.param(
+            _table_case("analyze", _FREQ_HEADER + b"0," + b"c" * 200_000 + b",4,3\n"), id="csv-field-too-large",
+        ),
+        pytest.param(
+            _table_case("analyze", b"concept_id,name,raw,filtered," + b"x" * 200_000 + b"\n" + _FREQ_ROWS),
+            id="csv-header-too-large",
+        ),
+        pytest.param(_table_case("analyze", _FREQ_HEADER + b"0,tiger,4,3\n1,a,1,5\n"), id="freq-filtered-above-raw"),
+        pytest.param(
+            _table_case("analyze", acc=b"concept_id,accuracy\n0,0.5\n1,0.7\n2,1.5\n"), id="analyze-accuracy-above-1",
+        ),
+        pytest.param(
+            _table_case("report", acc=b"concept_id,accuracy\n0,0.5\n1,0.7\n2,1.5\n"), id="report-accuracy-above-1",
+        ),
+        pytest.param(_bad_retrieval_ranks, id="retrieval-ranks-not-from-0"),
         pytest.param(_sidecar_case(b'{"concept'), id="sidecar-truncated"),
         pytest.param(_sidecar_case(b'{"concept_ids": [1]}'), id="sidecar-without-role"),
         pytest.param(_sidecar_case(b'{"concept_ids": [1.9], "role": "W"}'), id="sidecar-float-id"),
         pytest.param(_sidecar_case(b'{"concept_ids": [true], "role": "W"}'), id="sidecar-bool-id"),
         pytest.param(_bad_templates, id="templates-not-utf8"),
-        pytest.param(_bad_embedding_key, id="embedding-key-not-utf8"),
+        pytest.param(_embedding_case({28: b"\xff"}), id="embedding-key-not-utf8"),
+        pytest.param(_embedding_case({30: np.float32(np.nan).tobytes()}), id="embedding-nan"),
+        pytest.param(_embedding_case({20: b"\x01", 30: np.float32(2).tobytes()}), id="embedding-flagged-unit-norm-is-not"),
         pytest.param(_hits_case([{k: v for k, v in _HIT.items() if k != "offset"}]), id="hits-without-offset"),
         pytest.param(
             _hits_case([_HIT, {**_HIT, "concept_id": 1, "synonym": "cat", "offset": 242}]),
@@ -1081,17 +1133,17 @@ def test_judge_over_tsv_equals_the_streaming_read(capsys, world):
     assert all(h["offset"] == at[h["caption_id"] + 1] for h in hits)
     run_ok(capsys, judge_argv(world, corpus=str(tsv), fmt="tsv"))
 
-    outcome = judge_hits(
+    verdicts = judge_hits(
         load_hits(art(world, "hits.jsonl")),
         ConceptSet.from_jsonl(world["concepts"]),
         {r.id: r.norm_text for r in open_corpus(str(tsv), "tsv")},
         RuleStubJudge.from_jsonl(world["blocklist"]),
     )
-    save_verdicts(outcome, art(world, "streamed.jsonl"))
+    save_verdicts(verdicts, art(world, "streamed.jsonl"))
     assert (world["dir"] / "verdicts.jsonl").read_bytes() == (
         world["dir"] / "streamed.jsonl"
     ).read_bytes()
-    assert any(not v.relevant for v in outcome.verdicts)  # the shark is still vetoed
+    assert any(v.relevant is False for v in verdicts)  # the shark is still vetoed
 
 
 # ----------------------------------------------------------------- workers

@@ -18,7 +18,6 @@ from tally.errors import (
 )
 from tally.judge import (
     HttpJudge,
-    JudgeOutcome,
     JudgeVerdict,
     RuleStubJudge,
     ValidationSet,
@@ -29,6 +28,7 @@ from tally.judge import (
     filtered_synonym_counts,
     judge_hits,
     load_verdicts,
+    relevant_pairs,
     save_verdicts,
 )
 from tally.lexicon import Concept, ConceptSet
@@ -93,8 +93,8 @@ def test_filtering_removes_string_collisions(tiger_corpus, tiger_concepts, tiger
     filtered count while raw counts are unchanged."""
     hits, captions = pipeline_fixture(tiger_corpus, tiger_sets)
     judge = RuleStubJudge({"tiger": ["tiger shark"]})
-    outcome = judge_hits(hits, tiger_concepts, captions, judge)
-    table, _ = filtered_frequency(hits, outcome.verdicts, tiger_concepts)
+    verdicts = judge_hits(hits, tiger_concepts, captions, judge)
+    table, _ = filtered_frequency(hits, verdicts, tiger_concepts)
     assert table.raw(0) == 5
     assert table.filtered(0) == 4  # caption 1 ("tiger shark ...") removed
     assert table.raw(1) == 1
@@ -118,8 +118,8 @@ def test_judge_hits_one_verdict_per_unique_pair(tiger_concepts):
             return True
 
     captions = {10: "a tiger and a cat", 11: "another tiger"}
-    outcome = judge_hits(hits, tiger_concepts, captions, Recording())
-    assert [(v.caption_id, v.concept_id) for v in outcome.verdicts] == [
+    verdicts = judge_hits(hits, tiger_concepts, captions, Recording())
+    assert [(v.caption_id, v.concept_id) for v in verdicts] == [
         (10, 0),
         (11, 0),
         (10, 1),
@@ -139,8 +139,8 @@ def test_judge_hits_normalizes_no_caption_again(monkeypatch, tiger_concepts):
     monkeypatch.setattr(judge_module, "normalize_text", counting_normalize)
     hits = [MatchHit(1, 0, "tiger"), MatchHit(2, 0, "tiger")]
     captions = {1: "a tiger", 2: "tiger shark swimming in water"}
-    outcome = judge_hits(hits, tiger_concepts, captions, stub)
-    assert [v.relevant for v in outcome.verdicts] == [True, False]
+    verdicts = judge_hits(hits, tiger_concepts, captions, stub)
+    assert [v.relevant for v in verdicts] == [True, False]
     assert calls == []
 
 
@@ -173,7 +173,7 @@ class FlakyJudge:
 
 def test_retry_recovers_from_transient_failures(tiger_concepts):
     judge = FlakyJudge(failures_before_success=2)
-    outcome = judge_hits(
+    verdicts = judge_hits(
         [MatchHit(1, 0, "tiger")],
         tiger_concepts,
         {1: "a tiger"},
@@ -181,15 +181,14 @@ def test_retry_recovers_from_transient_failures(tiger_concepts):
         max_attempts=3,
         backoff_s=0,
     )
-    assert outcome.undecided == []
-    assert outcome.verdicts == [JudgeVerdict(1, 0, True, "flaky")]
+    assert verdicts == [JudgeVerdict(1, 0, True, "flaky")]
     assert judge.attempts[(0, "a tiger")] == 3
 
 
 def test_exhausted_retries_mark_pair_undecided(tiger_concepts, caplog):
     judge = FlakyJudge(failures_before_success=5)
     with caplog.at_level(logging.WARNING, logger="tally.judge"):
-        outcome = judge_hits(
+        verdicts = judge_hits(
             [MatchHit(1, 0, "tiger"), MatchHit(2, 0, "tiger")],
             tiger_concepts,
             {1: "a tiger", 2: "two tigers"},
@@ -197,8 +196,7 @@ def test_exhausted_retries_mark_pair_undecided(tiger_concepts, caplog):
             max_attempts=2,
             backoff_s=0,
         )
-    assert outcome.verdicts == []
-    assert outcome.undecided == [(1, 0), (2, 0)]
+    assert verdicts == [JudgeVerdict(1, 0, None, ""), JudgeVerdict(2, 0, None, "")]
     assert sum("no verdict" in r.message for r in caplog.records) == 2
 
 
@@ -218,7 +216,7 @@ def test_cache_skips_provider_on_rerun(tmp_path, tiger_concepts):
             raise AssertionError("cache miss: provider was consulted")
 
     second = judge_hits(hits, tiger_concepts, captions, VerdictCache(cache_dir, Dead()))
-    assert second.verdicts == first.verdicts
+    assert second == first
 
 
 def test_cache_keyed_by_judge_id(tmp_path, tiger_concepts):
@@ -226,9 +224,9 @@ def test_cache_keyed_by_judge_id(tmp_path, tiger_concepts):
     hits = [MatchHit(1, 0, "tiger")]
     captions = {1: "tiger shark swimming in water"}
     strict = VerdictCache(cache_dir, RuleStubJudge({"tiger": ["tiger shark"]}, judge_id="strict"))
-    assert judge_hits(hits, tiger_concepts, captions, strict).verdicts[0].relevant is False
+    assert judge_hits(hits, tiger_concepts, captions, strict)[0].relevant is False
     lax = VerdictCache(cache_dir, RuleStubJudge({}, judge_id="lax"))
-    assert judge_hits(hits, tiger_concepts, captions, lax).verdicts[0].relevant is True
+    assert judge_hits(hits, tiger_concepts, captions, lax)[0].relevant is True
 
 
 def test_cache_file_schema(tmp_path):
@@ -314,8 +312,8 @@ def test_judge_hits_hashes_no_caption_when_nothing_caches(monkeypatch, tiger_con
         raise AssertionError("caption hashed")
 
     monkeypatch.setattr(judge_module, "caption_hash", refuse)
-    outcome = judge_hits([MatchHit(1, 0, "tiger")], tiger_concepts, {1: "a tiger"}, RuleStubJudge({}))
-    assert [v.relevant for v in outcome.verdicts] == [True]
+    verdicts = judge_hits([MatchHit(1, 0, "tiger")], tiger_concepts, {1: "a tiger"}, RuleStubJudge({}))
+    assert [v.relevant for v in verdicts] == [True]
 
 
 def test_worker_count_does_not_change_order(tiger_concepts):
@@ -338,7 +336,7 @@ def test_worker_count_does_not_change_order(tiger_concepts):
 
     serial = judge_hits(hits, tiger_concepts, captions, SlowFirst())
     threaded = judge_hits(hits, tiger_concepts, captions, SlowFirst(), max_workers=4)
-    assert threaded.verdicts == serial.verdicts
+    assert threaded == serial
 
 
 # --------------------------------------------------------------- filtering
@@ -352,8 +350,8 @@ def test_filtered_frequency_requires_verdicts():
 
 def test_filtered_frequency_undecided_excluded_from_filtered():
     hits = [MatchHit(1, 0, "tiger"), MatchHit(2, 0, "tiger")]
-    verdicts = [JudgeVerdict(1, 0, True, "j")]
-    table, _ = filtered_frequency(hits, verdicts, undecided=[(2, 0)])
+    verdicts = [JudgeVerdict(1, 0, True, "j"), JudgeVerdict(2, 0, None, "")]
+    table, _ = filtered_frequency(hits, verdicts)
     assert table.raw(0) == 2
     assert table.filtered(0) == 1
 
@@ -390,14 +388,23 @@ def test_filtered_synonym_counts():
     verdicts = [
         JudgeVerdict(1, 0, True, "j"),
         JudgeVerdict(2, 0, False, "j"),
+        JudgeVerdict(3, 0, None, ""),
     ]
-    counts = filtered_synonym_counts(hits, verdicts, undecided=[(3, 0)])
+    counts = filtered_synonym_counts(hits, verdicts)
     assert counts == {(0, "tiger"): 1, (0, "big cat"): 1}
 
 
 def test_filtered_synonym_counts_missing_verdict():
     with pytest.raises(ConsistencyError):
         filtered_synonym_counts([MatchHit(1, 0, "tiger")], [])
+
+
+@pytest.mark.parametrize("relevant", [True, False, None])
+def test_relevant_pairs_refuses_two_verdicts_for_one_pair(relevant):
+    """A decided and an undecided record for one pair answer it both ways."""
+    verdicts = [JudgeVerdict(1, 0, relevant, "j"), JudgeVerdict(1, 0, None, "")]
+    with pytest.raises(ConsistencyError, match=r"pair \(caption 1, concept 0\) has two verdicts"):
+        relevant_pairs([MatchHit(1, 0, "tiger")], verdicts)
 
 
 # --------------------------------------------------------------- precision
@@ -538,15 +545,24 @@ def test_http_judge_failures_are_provider_errors(monkeypatch, outcome, message):
 
 
 def test_verdicts_round_trip(tmp_path):
-    outcome = JudgeOutcome(
-        verdicts=[JudgeVerdict(1, 0, True, "j"), JudgeVerdict(2, 0, False, "j")],
-        undecided=[(3, 0)],
-    )
+    """Undecided verdicts are written after the decided ones, each group in order."""
+    verdicts = [
+        JudgeVerdict(1, 0, True, "j"),
+        JudgeVerdict(4, 0, None, ""),
+        JudgeVerdict(2, 0, False, "j"),
+        JudgeVerdict(3, 0, None, ""),
+        JudgeVerdict(5, 1, True, "j"),
+    ]
     path = tmp_path / "verdicts.jsonl"
-    save_verdicts(outcome, str(path))
-    back = load_verdicts(str(path))
-    assert back.verdicts == outcome.verdicts
-    assert back.undecided == outcome.undecided
+    save_verdicts(verdicts, str(path))
+    assert path.read_text() == (
+        '{"caption_id": 1, "concept_id": 0, "judge_id": "j", "relevant": true}\n'
+        '{"caption_id": 2, "concept_id": 0, "judge_id": "j", "relevant": false}\n'
+        '{"caption_id": 5, "concept_id": 1, "judge_id": "j", "relevant": true}\n'
+        '{"caption_id": 4, "concept_id": 0, "judge_id": "", "relevant": null}\n'
+        '{"caption_id": 3, "concept_id": 0, "judge_id": "", "relevant": null}\n'
+    )
+    assert load_verdicts(str(path)) == [verdicts[i] for i in (0, 2, 4, 1, 3)]
 
 
 @pytest.mark.parametrize("relevant", ['"false"', "0"])
@@ -587,12 +603,14 @@ def test_load_verdicts_refuses_a_repeated_pair(tmp_path, relevant):
 
 
 def test_load_verdicts_checks_judge_id_only_when_present(tmp_path):
+    """An undecided record's judge_id is checked like a decided one's."""
     path = tmp_path / "verdicts.jsonl"
-    path.write_text('{"caption_id": 1, "concept_id": 0, "relevant": true}\n')
-    assert load_verdicts(str(path)).verdicts == [JudgeVerdict(1, 0, True, "")]
-    path.write_text('{"caption_id": 1, "concept_id": 0, "judge_id": 7, "relevant": true}\n')
-    with pytest.raises(InputError, match=":1: bad verdict record: judge_id is 7, not a string"):
-        load_verdicts(str(path))
+    for relevant in ("true", "null"):
+        path.write_text(f'{{"caption_id": 1, "concept_id": 0, "relevant": {relevant}}}\n')
+        assert load_verdicts(str(path)) == [JudgeVerdict(1, 0, json.loads(relevant), "")]
+        path.write_text(f'{{"caption_id": 1, "concept_id": 0, "judge_id": 7, "relevant": {relevant}}}\n')
+        with pytest.raises(InputError, match=":1: bad verdict record: judge_id is 7, not a string"):
+            load_verdicts(str(path))
 
 
 @pytest.mark.parametrize("field, value", [("judge_id", "null"), ("caption_sha256", "7")])
