@@ -514,6 +514,12 @@ def _scored_section(path: str, columns, what: str, title: str, header: list[str]
     return [f"## {title}", "", *_md_table(header, rows), ""]
 
 
+def _checked_counts(rows: dict[int, tuple[str, int, int]]) -> dict[int, tuple[str, int, int]]:
+    """Rows {concept_id: (name, raw, filtered)} once FrequencyTable has checked their counts."""
+    FrequencyTable({cid: counts for cid, (_, *counts) in rows.items()})
+    return rows
+
+
 def cmd_report(args) -> dict:
     run = args.run_dir
     lines: list[str] = ["# tally run report", ""]
@@ -521,7 +527,7 @@ def cmd_report(args) -> dict:
 
     freq = analytics._read_concept_csv(  # required: a missing freq.csv is an OSError naming it
         os.path.join(run, "freq.csv"), "frequency", ("raw", "filtered"),
-        lambda r: (r.get("name", ""), int(r["raw"]), int(r["filtered"])),
+        lambda r: (r.get("name", ""), int(r["raw"]), int(r["filtered"])), _checked_counts,
     )
     freq_rows = sorted(((cid, *row) for cid, row in freq.items()), key=lambda r: (-r[3], r[0]))
     lines += [

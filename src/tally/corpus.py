@@ -3,7 +3,15 @@
 A corpus is a line-oriented file of (id, text) records, either JSONL
 ({"id": int, "text": str} per line) or TSV (id<TAB>text, with csv-style
 quoting so a quoted caption may contain tabs). A record is normalized when
-its norm_text is read, so a pass that keeps few records pays for few.
+its norm_text is read, so a pass that keeps few records pays for few;
+`normalize_texts` normalizes a batch of them at once.
+
+JSONL is read with the block codec of `tally.io`: memory holds one block of
+about 1 MiB, and a line that is byte-exactly `{"id": <int>, "text": "<printable
+ASCII without '"' or '\\'>"}` (what SORTED_JSON writes) is decoded by one regex
+over the block. Every other line (escapes, non-ASCII text, other spacing or
+keys, "\r\n", blank or malformed) is decoded on its own exactly as before,
+with the same skip reasons and byte offsets. TSV is read line by line.
 Malformed lines are counted and skipped, never fatal, so a single bad row
 in a web-scale dump cannot kill a multi-hour scan; a repeated id is an
 InputError, since its hits could not say which text they came from.
@@ -14,15 +22,17 @@ recorded, so judging pays for the hits, not the corpus.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import EmptyCorpusError, InputError
-from .io import loads_line
+from .io import Schema, jsonl_runs, loads_line
 
 FORMATS = ("jsonl", "tsv")
 
@@ -36,6 +46,11 @@ _MAX_SKIP_DETAIL = 1000
 
 # ASCII text is its own NFKC form, and its alphanumerics are [A-Za-z0-9].
 _ASCII_NON_ALNUM = {c: " " for c in range(128) if not chr(c).isalnum()}
+# The same for captions joined by "\n", which keeps them apart.
+_ASCII_LINES = {c: " " for c in _ASCII_NON_ALNUM if c != ord("\n")}
+
+# A JSONL record line in its canonical form, as the block codec claims it.
+_RECORD = Schema(id=int, text=str)
 
 
 def normalize_text(raw: str) -> str:
@@ -52,6 +67,25 @@ def normalize_text(raw: str) -> str:
     return _NON_ALNUM.sub(" ", text).strip()
 
 
+def _joinable(raw: str) -> bool:
+    return raw.isascii() and "\n" not in raw
+
+
+def normalize_texts(raws: list[str]) -> list[str]:
+    """[normalize_text(raw) for raw in raws]. The ASCII captions without a "\n"
+    are joined by "\n", and lowered, translated and their spaces collapsed as
+    one string; any other caption goes through normalize_text."""
+    joined = "\n".join(raws)
+    if joined.isascii() and joined.count("\n") < len(raws):
+        text = joined.lower().translate(_ASCII_LINES)
+        while "  " in text:
+            text = text.replace("  ", " ")
+        return text.replace(" \n", "\n").replace("\n ", "\n").strip(" ").split("\n")
+    joinable = [raw for raw in raws if _joinable(raw)]
+    batch = iter(normalize_texts(joinable) if joinable else ())
+    return [next(batch) if _joinable(raw) else normalize_text(raw) for raw in raws]
+
+
 class CaptionRecord(NamedTuple):
     """One corpus record; byte_offset is the absolute file offset of its line."""
 
@@ -63,6 +97,10 @@ class CaptionRecord(NamedTuple):
     def norm_text(self) -> str:
         """normalize_text(raw_text), computed on each access."""
         return normalize_text(self.raw_text)
+
+
+# CaptionRecord((id, raw_text, byte_offset)) without the Python-level __new__ of a NamedTuple.
+_new_record = functools.partial(tuple.__new__, CaptionRecord)
 
 
 @dataclass(frozen=True)
@@ -162,20 +200,24 @@ class CorpusReader:
             self.skips.append(SkippedLine(offset, reason))
 
     def __iter__(self):
-        parse = _PARSERS[self.format]
         seen: set[int] = set()
-        with open(self.path, "rb") as f:
-            f.seek(self.start_byte)
-            offset = self.start_byte
-            for raw in f:
-                if self.end_byte is not None and offset >= self.end_byte:
-                    break
-                line_offset, offset = offset, offset + len(raw)
-                parsed = _parse_raw_line(raw, parse)
-                if parsed is None:
-                    continue
-                if isinstance(parsed, str):
-                    self._skip(line_offset, parsed)
+        for offsets, columns, raw in self._runs():
+            if columns is not None and _new_ids(columns[0], seen):  # a run of claimed lines, as a whole
+                seen.update(columns[0])
+                self.record_count += len(offsets)
+                yield from map(_new_record, zip(*columns, offsets))
+                continue
+            lines = [(offsets[0], None, raw)] if columns is None else zip(offsets, zip(*columns), repeat(None))
+            for line_offset, parsed, line in lines:
+                if parsed is None:  # a line the block codec did not claim, or a TSV line
+                    parsed = _parse_raw_line(line, _PARSERS[self.format])
+                    if parsed is None:
+                        continue
+                    if isinstance(parsed, str):
+                        self._skip(line_offset, parsed)
+                        continue
+                elif parsed[0] < 0:
+                    self._skip(line_offset, "missing or invalid 'id'")
                     continue
                 rec_id, text = parsed
                 if rec_id in seen:
@@ -184,9 +226,32 @@ class CorpusReader:
                     )
                 seen.add(rec_id)
                 self.record_count += 1
-                yield CaptionRecord(rec_id, text, line_offset)
+                yield _new_record((rec_id, text, line_offset))
         if self.record_count == 0 and not self.allow_empty:
             raise EmptyCorpusError(f"no parsable records in {self.path}")
+
+    def _runs(self):
+        """(offsets, [ids, texts] or None, line bytes), as io.jsonl_runs gives them."""
+        if self.format == "jsonl":
+            return jsonl_runs(self.path, _RECORD, self.start_byte, self.end_byte)
+        return _file_lines(self.path, self.start_byte, self.end_byte)
+
+
+def _new_ids(ids: list[int], seen: set[int]) -> bool:
+    """Whether every id is non-negative, unseen, and once in `ids`."""
+    return min(ids) >= 0 and len(set(ids)) == len(ids) and seen.isdisjoint(ids)
+
+
+def _file_lines(path: str, start: int, end: int | None):
+    """([offset], None, line bytes) for each line that starts in [start, end)."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        offset = start
+        for raw in f:
+            if end is not None and offset >= end:
+                return
+            yield [offset], None, raw
+            offset += len(raw)
 
 
 def open_corpus(path: str, format: str = "jsonl") -> CorpusReader:
@@ -207,7 +272,10 @@ def read_captions_at(path: str, format: str, offsets: dict[int, int]) -> dict[in
     with open(path, "rb") as f:
         for rec_id, offset in sorted(offsets.items(), key=lambda item: item[1]):
             f.seek(offset)
-            parsed = _parse_raw_line(f.readline(), parse)
+            raw = f.readline()
+            parsed = _RECORD.claim(raw) if format == "jsonl" else None
+            if parsed is None or parsed[0] < 0:
+                parsed = _parse_raw_line(raw, parse)
             if not isinstance(parsed, tuple) or parsed[0] != rec_id:
                 raise InputError(
                     f"{path}: corpus changed since scan: no caption id {rec_id} at byte {offset}"

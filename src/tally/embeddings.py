@@ -30,7 +30,6 @@ from .errors import (
     EmbeddingFormatError,
     InputError,
     MissingEmbeddingError,
-    ZeroVectorError,
 )
 from .io import atomic_write, named
 
@@ -177,19 +176,6 @@ def load_embeddings(path: str) -> EmbeddingMatrix:
             raise EmbeddingFormatError(f"{path}: trailing garbage: file has {size} bytes, records end at {pos}")
     with named(path):
         return EmbeddingMatrix(keys, rows, normalized=bool(flags & FLAG_NORMALIZED))
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; raises on dimension mismatch or zero vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise InputError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def average_normalized(vectors: np.ndarray) -> np.ndarray:

@@ -37,10 +37,6 @@ class DegenerateAverageError(TallyError):
     """Normalized average undefined: the mean vector has (near-)zero norm."""
 
 
-class ZeroVectorError(TallyError):
-    """Cosine similarity undefined for a zero vector."""
-
-
 class UndefinedCorrelationError(TallyError):
     """Correlation undefined: one of the inputs has zero variance."""
 

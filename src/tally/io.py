@@ -1,4 +1,4 @@
-"""Artifact files: line-numbered readers and atomic writers.
+"""Artifact files: line-numbered readers, a block codec for JSONL, and atomic writers.
 
 Readers read JSONL or CSV line by line and map each record through a `parse`
 function; a line that is not UTF-8 (decoded inside the per-line check), a
@@ -6,6 +6,18 @@ malformed line or CSV row, a KeyError/TypeError/ValueError/InputError from
 `parse` (`json_field` is the one check of a JSON field's type), or a repeated
 key is an InputError naming path:lineno; `read_json`'s one value, a CSV header
 and an InputError inside `named(path)` name the path.
+
+JSONL is read in blocks of about BLOCK_SIZE bytes, cut at line ends, so memory
+holds one block, never a whole file. A `Schema` declares one record kind: its
+keys, each an int, a string, a bool, or a bool or null. In each block one
+regex claims every line that is byte-exactly the schema's SORTED_JSON form
+(sorted keys, ", " and ": " separators, then "\n"; a string of printable
+ASCII without '"' or '\\', since SORTED_JSON escapes every other character)
+and the line's values come from the regex groups. Every other line (escapes,
+non-ASCII text, other spacing or keys, "\r\n", blank, malformed, or a last
+line without its newline) is decoded on its own exactly as before, with its
+true line number and byte offset. A schema's writer encodes each record from
+one template, byte for byte what SORTED_JSON writes.
 
 Writers never touch the target in place. `atomic_write` fills a temp file
 in the target's directory, flushes and fsyncs it, then `os.replace`s it
@@ -18,8 +30,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
+import operator
 import os
+import re
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 
@@ -43,11 +59,127 @@ def loads_line(line: str | bytes):
     return json.loads(line)
 
 
-def read_jsonl(path: str, what: str, parse, key=None) -> list:
-    """parse(obj) for each non-blank line of a JSONL file, in file order; key as in _parse_each."""
+BLOCK_SIZE = 1 << 20  # bytes a JSONL reader reads at once
+
+_LITERAL = {"true": True, "false": False, "null": None}
+_JSON_LITERAL = {True: "true", False: "false", None: "null"}
+# Per kind of value: the regex group of the text SORTED_JSON writes for it, the value of that
+# text (None: the text), the text of a value (None: str(value)), and the types a value may have.
+_KINDS = {
+    int: (r"(-?(?:0|[1-9][0-9]*))", int, None, (int,)),
+    str: (r'"([ !#-\[\]-~]*)"', None, encode_basestring_ascii, (str,)),  # printable ASCII but '"' and '\'
+    bool: (r"(true|false)", _LITERAL.__getitem__, _JSON_LITERAL.__getitem__, (bool,)),
+    bool | None: (r"(true|false|null)", _LITERAL.__getitem__, _JSON_LITERAL.__getitem__, (bool, type(None))),
+}
+_ANY_LINE = re.compile(r"()(.*\n|.+)")  # a Schema's line pattern, for no schema: it claims no line
+
+
+class Schema:
+    """One JSONL record kind: its keys and each one's kind, int, str, bool or `bool | None`.
+
+    `jsonl_lines` claims each line in the kind's SORTED_JSON form with one
+    regex per block; `encode` writes that form from one template."""
+
+    def __init__(self, **kinds):
+        self.names = tuple(sorted(kinds))
+        keys = [encode_basestring_ascii(name) for name in self.names]
+        groups, self._convert, encode, types = zip(*(_KINDS[kinds[name]] for name in self.names))
+        # Each match is one line. The first alternative claims a line in this schema's form:
+        # its first group holds "{", the next ones the values' text. The last holds any other line.
+        fields = ", ".join(f"{re.escape(key)}: {group}" for key, group in zip(keys, groups))
+        self._line = re.compile(r"(\{)" + fields + r"\}\n|(.*\n|.+)")
+        self._template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+        self._encode = [(i, enc) for i, enc in enumerate(encode) if enc is not None]
+        self._types = set(itertools.product(*types))
+
+    def encode(self, values) -> str:
+        """SORTED_JSON's line for the record {name: value} of this schema's names and `values`
+        in their order; from the template when each value's type is its key's kind."""
+        if tuple(map(type, values)) not in self._types:
+            return SORTED_JSON.encode(dict(zip(self.names, values))) + "\n"
+        values = list(values)
+        for i, encode in self._encode:
+            values[i] = encode(values[i])
+        return self._template % tuple(values)
+
+    def claim(self, line: bytes) -> tuple | None:
+        """The values of one line in this schema's SORTED_JSON form, "\n" included, else None."""
+        match = self._line.match(line.decode("latin-1"))
+        if match is None or not match[1]:
+            return None
+        return tuple(group if conv is None else conv(group) for conv, group in zip(self._convert, match.groups()[1:]))
+
+    def write(self, path: str, rows) -> None:
+        """One line per row of values, as `encode` writes it, replacing `path` atomically."""
+        with atomic_write(path) as f:
+            f.writelines(map(self.encode, rows))
+
+
+def jsonl_runs(path: str, schema: Schema | None = None, start: int = 0, end: int | None = None):
+    """(offsets, columns, line) for each run of claimed lines of `path` and each other line, of
+    the lines that start in [start, end), in file order, read a block at a time. A run of lines
+    in the schema's SORTED_JSON form has their offsets, their values as one column per name in
+    name order, and line None; any other line has its offset alone, columns None, and its
+    bytes, "\n" kept."""
+    pattern, convert = (schema._line, schema._convert) if schema else (_ANY_LINE, [])
+    for offset, block in _blocks(path, start, end):
+        claimed, *fields, lines = zip(*pattern.findall(block))  # one column per group, one row per line
+        offsets = list(itertools.accumulate(map((1).__add__, map(len, block.split("\n"))), initial=offset))
+        first = 0
+        for stop in [*itertools.compress(itertools.count(), map(operator.not_, claimed)), len(lines)]:
+            if first < stop:
+                yield offsets[first:stop], [col[first:stop] if conv is None else list(map(conv, col[first:stop]))
+                                            for conv, col in zip(convert, fields)], None
+            if stop < len(lines):
+                yield offsets[stop:stop + 1], None, lines[stop].encode("latin-1")
+            first = stop + 1
+
+
+def jsonl_lines(path: str, schema: Schema | None = None, start: int = 0, end: int | None = None):
+    """(offset, values, line) for each line, as jsonl_runs reads them: a claimed line has its
+    values, a tuple in name order, and line None; any other line has values None and its bytes."""
+    for offsets, columns, line in jsonl_runs(path, schema, start, end):
+        if line is None:
+            yield from zip(offsets, zip(*columns), itertools.repeat(None))
+        else:
+            yield offsets[0], None, line
+
+
+def _blocks(path: str, start: int, end: int | None):
+    """(offset, text) of blocks of whole lines, about BLOCK_SIZE bytes each, that cover the
+    lines starting in [start, end): a line is never split, and only the file's last line may
+    lack its "\n". The text is the bytes decoded as latin-1, one character per byte."""
     with open(path, "rb") as f:
-        lines = ((lineno, line) for lineno, line in enumerate(f, 1) if line.strip())
-        return _parse_each(path, what, lines, lambda line: parse(loads_line(line.decode("utf-8"))), key)
+        f.seek(start)
+        offset, pending = start, []  # the chunks read since the last "\n"
+        while end is None or offset < end:
+            chunk = f.read(BLOCK_SIZE)
+            if chunk and b"\n" not in chunk:  # a line longer than a block
+                pending.append(chunk)
+                continue
+            data = b"".join([*pending, chunk])
+            cut = data.rfind(b"\n") + 1
+            if end is not None and offset + cut > end:  # the line holding byte end - 1 is the last
+                cut = data.index(b"\n", end - offset - 1) + 1
+            elif not chunk:
+                cut = len(data)
+            if cut:
+                yield offset, data[:cut].decode("latin-1")
+            if not chunk or end is not None and offset + cut >= end:
+                return
+            offset, pending = offset + cut, [data[cut:]]
+
+
+def read_jsonl(path: str, what: str, parse, key=None, schema: Schema | None = None, build=None) -> list:
+    """parse(obj) for each non-blank line of a JSONL file, in file order; key as in _parse_each.
+    With a schema, a line in its SORTED_JSON form is build(*values) instead."""
+
+    def decode(item):
+        _, values, line = item
+        return build(*values) if line is None else parse(loads_line(line.decode("utf-8")))
+
+    lines = enumerate(jsonl_lines(path, schema), 1)
+    return _parse_each(path, what, ((n, item) for n, item in lines if item[2] is None or item[2].strip()), decode, key)
 
 
 def read_lines(path: str, what: str) -> list[str]:

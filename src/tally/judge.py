@@ -36,7 +36,7 @@ from .errors import (
     ProviderError,
     UndefinedPrecisionError,
 )
-from .io import json_field, read_jsonl, read_table, write_jsonl
+from .io import Schema, json_field, read_jsonl, read_table
 from .lexicon import CacheFile, Concept, ConceptSet, post_json, table_id
 from .matcher import MatchHit, count_captions
 
@@ -126,6 +126,11 @@ class HttpJudge:
         )
 
 
+# A verdicts-file line, and a verdict-cache line.
+_VERDICT = Schema(caption_id=int, concept_id=int, judge_id=str, relevant=bool | None)
+_CACHED = Schema(caption_sha256=str, concept_id=int, judge_id=str, relevant=bool)
+
+
 def caption_hash(norm_text: str) -> str:
     return hashlib.sha256(norm_text.encode("utf-8")).hexdigest()
 
@@ -146,6 +151,8 @@ class VerdictCache:
                  json_field(obj, "caption_sha256", str)),
                 json_field(obj, "relevant", bool),
             ),
+            _CACHED,
+            lambda cap_hash, concept_id, judge_id, relevant: ((judge_id, concept_id, cap_hash), relevant),
         )
 
     def judge(self, concept: Concept, caption: str) -> bool:
@@ -160,16 +167,7 @@ class VerdictCache:
         return self._file.get((judge_id, concept_id, cap_hash))
 
     def put(self, judge_id: str, concept_id: int, cap_hash: str, relevant: bool) -> None:
-        self._file.put(
-            (judge_id, concept_id, cap_hash),
-            relevant,
-            {
-                "judge_id": judge_id,
-                "concept_id": concept_id,
-                "caption_sha256": cap_hash,
-                "relevant": relevant,
-            },
-        )
+        self._file.put((judge_id, concept_id, cap_hash), relevant, (cap_hash, concept_id, judge_id, relevant))
 
 
 def judge_hits(
@@ -299,7 +297,8 @@ def definition_precision(
 
 def save_verdicts(verdicts: list[JudgeVerdict], path: str) -> None:
     """Decided verdicts, then undecided ones ({"relevant": null, "judge_id": ""}), each in order."""
-    write_jsonl(path, (v._asdict() for v in sorted(verdicts, key=lambda v: v.relevant is None)))
+    ordered = sorted(verdicts, key=lambda v: v.relevant is None)
+    _VERDICT.write(path, ((v.caption_id, v.concept_id, v.judge_id, v.relevant) for v in ordered))
 
 
 def load_verdicts(path: str) -> list[JudgeVerdict]:
@@ -310,4 +309,9 @@ def load_verdicts(path: str) -> list[JudgeVerdict]:
         relevant = None if obj["relevant"] is None else json_field(obj, "relevant", bool)
         return JudgeVerdict(*pair, relevant, json_field(obj, "judge_id", str, default=""))
 
-    return read_jsonl(path, "verdict record", parse, ("(caption_id, concept_id)", lambda v: v[:2]))
+    def build(caption_id: int, concept_id: int, judge_id: str, relevant: bool | None) -> JudgeVerdict:
+        return JudgeVerdict(caption_id, concept_id, relevant, judge_id)
+
+    return read_jsonl(
+        path, "verdict record", parse, ("(caption_id, concept_id)", lambda v: v[:2]), schema=_VERDICT, build=build
+    )

@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING
 
 from .corpus import normalize_text
 from .errors import InputError, ProviderError
-from .io import SORTED_JSON, json_field, loads_line, read_jsonl, read_table, string_list, write_jsonl
+from .io import (
+    SORTED_JSON, Schema, json_field, jsonl_lines, loads_line, read_jsonl, read_table, string_list, write_jsonl,
+)
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingMatrix
@@ -181,51 +183,53 @@ class HttpSynonymProvider:
 class CacheFile:
     """An append-only JSONL table of provider answers that survives a torn final line.
 
-    The constructor loads every record through parse(obj) -> (key, value),
-    later records winning; `put` stores and appends a key at most once, and
-    a lock serializes `get` and `put` across threads. A writer killed
-    mid-append leaves the last line without its newline. Loading skips that
-    line when it is not a valid record, and the first `put` truncates it; a
-    valid record that only lacks its newline is kept and ended before the
-    next record is written. Any other malformed line is an InputError naming
-    path:lineno. Appends share one handle, flushed after each record so a
-    kill tears at most the last line, and closed when the CacheFile is
+    The constructor loads every record through parse(obj) -> (key, value), or,
+    for a line in the SORTED_JSON form of `schema`, build(*values) -> (key,
+    value), later records winning; `put` stores and appends a key at most
+    once, and a lock serializes `get` and `put` across threads. A writer
+    killed mid-append leaves the last line without its newline. Loading skips
+    that line when it is not a valid record, and the first `put` truncates
+    it; a valid record that only lacks its newline is kept and ended before
+    the next record is written. Any other malformed line is an InputError
+    naming path:lineno. Appends share one handle, flushed after each record
+    so a kill tears at most the last line, and closed when the CacheFile is
     collected (in CPython, as soon as its owner drops it).
     """
 
-    def __init__(self, path: str, parse):
+    def __init__(self, path: str, parse, schema: Schema | None = None, build=None):
         self.path = path
+        self._schema = schema
         self._repair: tuple[int, bytes] | None = None  # truncate at, then write
         self._handle = None
         self._lock = threading.Lock()
         self._table = {}
         if not os.path.exists(path):
             return
-        with open(path, "rb") as f:
-            data = f.read()
-        offset = 0
-        for lineno, line in enumerate(data.split(b"\n"), 1):
-            end = offset + len(line)
-            if line.strip():
+        for lineno, (offset, values, line) in enumerate(jsonl_lines(path, schema), 1):
+            if values is not None:
+                key, value = build(*values)
+                self._table[key] = value
+            elif line.strip():
+                torn = not line.endswith(b"\n")
                 try:
-                    key, value = parse(loads_line(line))
+                    key, value = parse(loads_line(line if torn else line[:-1]))
                 except (KeyError, TypeError, ValueError) as e:
-                    if end < len(data):
+                    if not torn:
                         raise InputError(f"{self.path}:{lineno}: bad cache record: {e}") from e
                     logger.warning("%s:%d: skipping a torn final line", self.path, lineno)
                     self._repair = (offset, b"")
                 else:
                     self._table[key] = value
-                    if end == len(data):
-                        self._repair = (end, b"\n")
-            offset = end + 1
+                    if torn:
+                        self._repair = (offset + len(line), b"\n")
 
     def get(self, key):
         with self._lock:
             return self._table.get(key)
 
-    def put(self, key, value, record: dict) -> None:
-        """Store value under key and append record, unless key is already stored."""
+    def put(self, key, value, record) -> None:
+        """Store value under key and append record, unless key is already stored. The record
+        is its values in the schema's name order, or a dict when there is no schema."""
         with self._lock:
             if key in self._table:
                 return
@@ -238,7 +242,8 @@ class CacheFile:
                     self._handle.truncate(at)
                     self._handle.write(glue)
                     self._repair = None
-            self._handle.write(SORTED_JSON.encode(record).encode("utf-8") + b"\n")
+            line = self._schema.encode(record) if self._schema else SORTED_JSON.encode(record) + "\n"
+            self._handle.write(line.encode("utf-8"))
             self._handle.flush()
 
 

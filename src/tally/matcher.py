@@ -29,18 +29,20 @@ times, or via how many synonyms, it mentions the concept.
 
 from __future__ import annotations
 
+import itertools
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .analytics import FrequencyTable
-from .corpus import CorpusShard, iter_shard
+from .corpus import CorpusShard, iter_shard, normalize_texts
 from .errors import EmptyPatternSetError, InputError
-from .io import json_field, read_jsonl, write_jsonl
+from .io import Schema, json_field, read_jsonl
 from .lexicon import SynonymSet
 
 MODES = ("whole_word", "partial")
+_BATCH = 1024  # records normalized together by a scan
 
 
 class MatchHit(NamedTuple):
@@ -160,7 +162,11 @@ def caption_hits(
 ) -> list[MatchHit]:
     """Hits for one caption: one per (concept, synonym), first occurrence,
     ordered by (concept_id, synonym); each carries the caption's offset."""
-    found = automaton.find(norm_text)
+    return _hits(record_id, automaton.find(norm_text), automaton, offset)
+
+
+def _hits(record_id: int, found: list[tuple[str, int]], automaton: PatternAutomaton, offset: int | None):
+    """caption_hits from the caption's (pattern, start) occurrences."""
     if not found:
         return []
     first: dict[str, int] = {}
@@ -205,12 +211,17 @@ def count_captions(
 
 
 def _match_records(records, automaton: PatternAutomaton) -> tuple[list[MatchHit], int, int]:
-    """(hits, records read, records skipped) of one pass over a record stream."""
+    """(hits, records read, records skipped) of one pass over a record stream,
+    normalized a batch at a time."""
     hits: list[MatchHit] = []
     n_records = 0
-    for rec in records:
-        n_records += 1
-        hits.extend(caption_hits(rec.id, rec.norm_text, automaton, rec.byte_offset))
+    find = automaton.find
+    stream = iter(records)
+    while batch := list(itertools.islice(stream, _BATCH)):
+        n_records += len(batch)
+        for rec, norm_text in zip(batch, normalize_texts([rec.raw_text for rec in batch])):
+            if found := find(norm_text):
+                hits.extend(_hits(rec.id, found, automaton, rec.byte_offset))
     return hits, n_records, getattr(records, "skip_count", 0)
 
 
@@ -257,15 +268,19 @@ def scan_shards(
     return ScanResult(table, n_records, n_skipped, hits)
 
 
+# A hits-file line.
+_HIT = Schema(caption_id=int, concept_id=int, offset=int, synonym=str)
+
+
 def save_hits(hits: list[MatchHit], path: str) -> None:
     """Write hits as JSONL {"caption_id","concept_id","synonym","offset"}, scan order; each needs an offset."""
 
-    def record(h: MatchHit) -> dict:
+    def row(h: MatchHit) -> tuple:
         if h.offset is None:
             raise ValueError(f"hit for caption id {h.caption_id} has no offset")
-        return {"caption_id": h.caption_id, "concept_id": h.concept_id, "synonym": h.synonym, "offset": h.offset}
+        return h.caption_id, h.concept_id, h.offset, h.synonym
 
-    write_jsonl(path, map(record, hits))
+    _HIT.write(path, map(row, hits))
 
 
 def load_hits(path: str) -> list[MatchHit]:
@@ -273,14 +288,21 @@ def load_hits(path: str) -> list[MatchHit]:
     without one (a scan older than offsets) or a caption at two offsets is an InputError."""
     offsets: dict[int, int] = {}
 
+    def checked(caption_id: int, offset: int) -> int:
+        if offset < 0:
+            raise ValueError(f"offset {offset} is not a byte offset")
+        if (first := offsets.setdefault(caption_id, offset)) != offset:
+            raise ValueError(f"caption id {caption_id} has two offsets, {first} and {offset}")
+        return offset
+
     def parse(obj) -> MatchHit:
         caption_id = json_field(obj, "caption_id")
         if "offset" not in obj:
             raise ValueError(f"hit for caption id {caption_id} has no offset; rerun tally scan")
-        if (offset := json_field(obj, "offset")) < 0:
-            raise ValueError(f"offset {offset} is not a byte offset")
-        if (first := offsets.setdefault(caption_id, offset)) != offset:
-            raise ValueError(f"caption id {caption_id} has two offsets, {first} and {offset}")
+        offset = checked(caption_id, json_field(obj, "offset"))
         return MatchHit(caption_id, json_field(obj, "concept_id"), json_field(obj, "synonym", str), None, offset)
 
-    return read_jsonl(path, "hit record", parse)
+    def build(caption_id: int, concept_id: int, offset: int, synonym: str) -> MatchHit:
+        return MatchHit(caption_id, concept_id, synonym, None, checked(caption_id, offset))
+
+    return read_jsonl(path, "hit record", parse, schema=_HIT, build=build)

@@ -866,6 +866,7 @@ _HIT = {"caption_id": 0, "concept_id": 0, "synonym": "tiger", "offset": 0}
             id="csv-header-too-large",
         ),
         pytest.param(_table_case("analyze", _FREQ_HEADER + b"0,tiger,4,3\n1,a,1,5\n"), id="freq-filtered-above-raw"),
+        pytest.param(_table_case("report", _FREQ_HEADER + b"0,a,1,5\n1,b,-3,-4\n"), id="report-freq-filtered-above-raw"),
         pytest.param(
             _table_case("analyze", acc=b"concept_id,accuracy\n0,0.5\n1,0.7\n2,1.5\n"), id="analyze-accuracy-above-1",
         ),
@@ -908,6 +909,37 @@ def test_benchmark_tracer_finds_every_wrapped_name():
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_benchmark_tracer_counts_each_scanned_record(capsys, world):
+    """perfbench's corpus.records_per_s divides the records by the `corpus.read`
+    time, which it takes from the scan iterating its reader, and its matcher.find
+    metrics assume one find per record."""
+    run_ok(capsys, [
+        "synonyms", "--concepts", world["concepts"], "--fixture", world["fixture"],
+        "--cache-dir", art(world, "cache"), "--out", art(world, "synsets.jsonl"),
+    ])
+    root = Path(__file__).resolve().parents[1]
+    spans = world["dir"] / "spans.json"
+    out = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracing.py"), str(spans), "t", "scan", "--",
+         "scan", "--corpus", world["corpus"], "--synonyms", art(world, "synsets.jsonl"),
+         "--out", art(world, "hits.jsonl")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    records = json.loads(out.stdout.strip().splitlines()[-1])["records"]
+    agg = json.loads(spans.read_text())["agg"]
+
+    def total(name: str, field: str) -> int:
+        return sum(a[field] for a in agg if a["name"] == name)
+
+    assert records == len(CORPUS_ROWS)
+    assert total("corpus.read", "hits") == records
+    assert total("matcher.find", "count") == records
 
 
 # ------------------------------------------------------------------ caches

@@ -5,15 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import make_embeddings
 from tally.embeddings import (
     BLOCK_ELEMENTS,
     EmbeddingMatrix,
     average_normalized,
-    cosine,
     load_embeddings,
     row_blocks,
     save_embeddings,
@@ -23,7 +20,6 @@ from tally.errors import (
     EmbeddingFormatError,
     InputError,
     MissingEmbeddingError,
-    ZeroVectorError,
 )
 
 
@@ -266,37 +262,6 @@ def test_unit_average_normalizes_each_row_first():
 def test_key_row_count_mismatch():
     with pytest.raises(InputError):
         EmbeddingMatrix(["a", "b"], np.zeros((1, 2), dtype=np.float32))
-
-
-# ---------------------------------------------------------------- cosine
-
-
-def test_cosine_analytic_cases():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-    assert cosine([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.0, abs=1e-12)
-    assert cosine([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0, abs=1e-12)
-    assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
-
-
-def test_cosine_rejects_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        cosine([0.0, 0.0], [1.0, 0.0])
-
-
-def test_cosine_rejects_dim_mismatch():
-    with pytest.raises(InputError):
-        cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.01, max_value=100.0))
-@settings(max_examples=100, deadline=None)
-def test_cosine_symmetry_and_scale_invariance(seed, scale):
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(6)
-    v = rng.standard_normal(6)
-    assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-12)
-    assert cosine(u * scale, v) == pytest.approx(cosine(u, v), abs=1e-9)
-    assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------- average_normalized

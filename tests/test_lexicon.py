@@ -10,7 +10,7 @@ import requests
 
 from conftest import fake_post, write_jsonl
 from tally import io, lexicon
-from tally.embeddings import EmbeddingMatrix, cosine
+from tally.embeddings import EmbeddingMatrix
 from tally.errors import InputError, MissingEmbeddingError, ProviderError
 from tally.lexicon import (
     CacheFile,
@@ -461,6 +461,11 @@ def test_filter_drops_confusable_synonym():
     assert out[1].synonyms == ["lion"]
 
 
+def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+    u, v = u.astype(np.float64), v.astype(np.float64)
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
 def test_filter_matches_brute_force_recount():
     """Independent recomputation: keep s iff its cosine to the owner name
     is >= its cosine to every name."""
@@ -486,7 +491,7 @@ def test_filter_matches_brute_force_recount():
         expected = [names[i]]
         for j in range(3):
             s = f"syn{i}{j}"
-            sims = [cosine(syn_mat.rows([s])[0], name_mat.rows([nm])[0]) for nm in names]
+            sims = [_cosine(syn_mat.rows([s])[0], name_mat.rows([nm])[0]) for nm in names]
             if sims[i] >= max(sims) - 1e-12:
                 expected.append(s)
         assert synset.synonyms == expected
