@@ -228,7 +228,7 @@ def _outcome(read, path):
 
 # The malformed lines of tests/test_io.py, and the artifact cases of tests/test_cli.py and tests/test_judge.py.
 _BAD_LINES = [
-    b'{broken\n', b'[1]\n', b'{"x": "\xff"}\n', '﻿{"x": 1}\n'.encode(), b"1, 2\n", b'{"a": 1}{"b": 2}\n',
+    b'{broken\n', b'[1]\n', b'{"x": "\xff"}\n', '\ufeff{"x": 1}\n'.encode(), b"1, 2\n", b'{"a": 1}{"b": 2}\n',
     b'{"a": 1}\x1c\n', '{"a": 1}\u0085\n'.encode(), b'{"x": NaN}\n', b'{"x": 1e999}\n', b"12\n", b"\x1c\n",
     b'{"caption_id": 0, "concept_id": 0, "synonym": "tiger"}\n',
     b'{"caption_id": 0, "concept_id": 0, "offset": -1, "synonym": "tiger"}\n',
