@@ -7,11 +7,12 @@ its norm_text is read, so a pass that keeps few records pays for few;
 `normalize_texts` normalizes a batch of them at once.
 
 JSONL is read with the block codec of `tally.io`: memory holds one block of
-about 1 MiB, and a line that is byte-exactly `{"id": <int>, "text": "<printable
-ASCII without '"' or '\\'>"}` (what SORTED_JSON writes) is decoded by one regex
-over the block. Every other line (escapes, non-ASCII text, other spacing or
-keys, "\r\n", blank or malformed) is decoded on its own exactly as before,
-with the same skip reasons and byte offsets. TSV is read line by line.
+about 1 MiB, and a line that is byte-exactly `{"id": <up to 18 digits>, "text":
+"<printable ASCII without '"' or '\\'>"}` (what SORTED_JSON writes) is decoded
+by one regex over the block, its records made a run at a time. Every other
+line (escapes, non-ASCII text, a negative id, other spacing or keys, "\r\n",
+blank or malformed) is decoded on its own exactly as before, with the same
+skip reasons and byte offsets. TSV is read line by line.
 Malformed lines are counted and skipped, never fatal, so a single bad row
 in a web-scale dump cannot kill a multi-hour scan; a repeated id is an
 InputError, since its hits could not say which text they came from.
@@ -28,7 +29,6 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 from .errors import EmptyCorpusError, InputError
@@ -200,33 +200,29 @@ class CorpusReader:
             self.skips.append(SkippedLine(offset, reason))
 
     def __iter__(self):
+        parse = _PARSERS[self.format]
         seen: set[int] = set()
         for offsets, columns, raw in self._runs():
-            if columns is not None and _new_ids(columns[0], seen):  # a run of claimed lines, as a whole
-                seen.update(columns[0])
-                self.record_count += len(offsets)
-                yield from map(_new_record, zip(*columns, offsets))
-                continue
-            lines = [(offsets[0], None, raw)] if columns is None else zip(offsets, zip(*columns), repeat(None))
-            for line_offset, parsed, line in lines:
-                if parsed is None:  # a line the block codec did not claim, or a TSV line
-                    parsed = _parse_raw_line(line, _PARSERS[self.format])
-                    if parsed is None:
-                        continue
-                    if isinstance(parsed, str):
-                        self._skip(line_offset, parsed)
-                        continue
-                elif parsed[0] < 0:
-                    self._skip(line_offset, "missing or invalid 'id'")
+            if columns is None:  # a line the block codec did not claim, or a TSV line
+                parsed = _parse_raw_line(raw, parse)
+                if parsed is None:
                     continue
-                rec_id, text = parsed
-                if rec_id in seen:
-                    raise InputError(
-                        f"{self.path}: duplicate caption id {rec_id} at byte {line_offset}"
-                    )
-                seen.add(rec_id)
-                self.record_count += 1
-                yield _new_record((rec_id, text, line_offset))
+                if isinstance(parsed, str):
+                    self._skip(offsets[0], parsed)
+                    continue
+                columns = [[parsed[0]], [parsed[1]]]
+            ids, texts = columns
+            fresh = len(ids)
+            if not seen.isdisjoint(ids) or len(set(ids)) < fresh:
+                fresh = _fresh_prefix(ids, seen)
+                ids = ids[:fresh]
+            seen.update(ids)
+            self.record_count += fresh
+            yield from map(_new_record, zip(ids, texts, offsets))
+            if fresh < len(offsets):
+                raise InputError(
+                    f"{self.path}: duplicate caption id {columns[0][fresh]} at byte {offsets[fresh]}"
+                )
         if self.record_count == 0 and not self.allow_empty:
             raise EmptyCorpusError(f"no parsable records in {self.path}")
 
@@ -237,9 +233,14 @@ class CorpusReader:
         return _file_lines(self.path, self.start_byte, self.end_byte)
 
 
-def _new_ids(ids: list[int], seen: set[int]) -> bool:
-    """Whether every id is non-negative, unseen, and once in `ids`."""
-    return min(ids) >= 0 and len(set(ids)) == len(ids) and seen.isdisjoint(ids)
+def _fresh_prefix(ids: list[int], seen: set[int]) -> int:
+    """How many of `ids` come before the first one in `seen` or earlier in `ids`."""
+    earlier = set()
+    for i, rec_id in enumerate(ids):
+        if rec_id in seen or rec_id in earlier:
+            return i
+        earlier.add(rec_id)
+    return len(ids)
 
 
 def _file_lines(path: str, start: int, end: int | None):
@@ -272,10 +273,7 @@ def read_captions_at(path: str, format: str, offsets: dict[int, int]) -> dict[in
     with open(path, "rb") as f:
         for rec_id, offset in sorted(offsets.items(), key=lambda item: item[1]):
             f.seek(offset)
-            raw = f.readline()
-            parsed = _RECORD.claim(raw) if format == "jsonl" else None
-            if parsed is None or parsed[0] < 0:
-                parsed = _parse_raw_line(raw, parse)
+            parsed = _parse_raw_line(f.readline(), parse)
             if not isinstance(parsed, tuple) or parsed[0] != rec_id:
                 raise InputError(
                     f"{path}: corpus changed since scan: no caption id {rec_id} at byte {offset}"

@@ -12,11 +12,12 @@ holds one block, never a whole file. A `Schema` declares one record kind: its
 keys, each an int, a string, a bool, or a bool or null. In each block one
 regex claims every line that is byte-exactly the schema's SORTED_JSON form
 (sorted keys, ", " and ": " separators, then "\n"; a string of printable
-ASCII without '"' or '\\', since SORTED_JSON escapes every other character)
-and the line's values come from the regex groups. Every other line (escapes,
-non-ASCII text, other spacing or keys, "\r\n", blank, malformed, or a last
-line without its newline) is decoded on its own exactly as before, with its
-true line number and byte offset. A schema's writer encodes each record from
+ASCII without '"' or '\\', since SORTED_JSON escapes every other character;
+an int of at most 18 digits and no sign) and the line's values come from the
+regex groups. Every other line (escapes, non-ASCII text, a negative or longer
+int, other spacing or keys, "\r\n", blank, malformed, or a last line without
+its newline) is decoded on its own exactly as before, with its true line
+number and byte offset. A schema's writer encodes each record from
 one template, byte for byte what SORTED_JSON writes.
 
 Writers never touch the target in place. `atomic_write` fills a temp file
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import operator
@@ -66,7 +68,9 @@ _JSON_LITERAL = {True: "true", False: "false", None: "null"}
 # Per kind of value: the regex group of the text SORTED_JSON writes for it, the value of that
 # text (None: the text), the text of a value (None: str(value)), and the types a value may have.
 _KINDS = {
-    int: (r"(-?(?:0|[1-9][0-9]*))", int, None, (int,)),
+    # A non-negative int of at most 18 digits: a negative one, or one long enough that int()
+    # could refuse it, goes to the line decoder with the rest.
+    int: (r"(0|[1-9][0-9]{0,17})", int, None, (int,)),
     str: (r'"([ !#-\[\]-~]*)"', None, encode_basestring_ascii, (str,)),  # printable ASCII but '"' and '\'
     bool: (r"(true|false)", _LITERAL.__getitem__, _JSON_LITERAL.__getitem__, (bool,)),
     bool | None: (r"(true|false|null)", _LITERAL.__getitem__, _JSON_LITERAL.__getitem__, (bool, type(None))),
@@ -87,7 +91,7 @@ class Schema:
         # Each match is one line. The first alternative claims a line in this schema's form:
         # its first group holds "{", the next ones the values' text. The last holds any other line.
         fields = ", ".join(f"{re.escape(key)}: {group}" for key, group in zip(keys, groups))
-        self._line = re.compile(r"(\{)" + fields + r"\}\n|(.*\n|.+)")
+        self._pattern = r"(\{)" + fields + r"\}\n|(.*\n|.+)"
         self._template = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
         self._encode = [(i, enc) for i, enc in enumerate(encode) if enc is not None]
         self._types = set(itertools.product(*types))
@@ -102,12 +106,10 @@ class Schema:
             values[i] = encode(values[i])
         return self._template % tuple(values)
 
-    def claim(self, line: bytes) -> tuple | None:
-        """The values of one line in this schema's SORTED_JSON form, "\n" included, else None."""
-        match = self._line.match(line.decode("latin-1"))
-        if match is None or not match[1]:
-            return None
-        return tuple(group if conv is None else conv(group) for conv, group in zip(self._convert, match.groups()[1:]))
+    @functools.cached_property
+    def _line(self) -> re.Pattern:
+        """The line regex, compiled on first read: a process that reads no such file never pays for it."""
+        return re.compile(self._pattern)
 
     def write(self, path: str, rows) -> None:
         """One line per row of values, as `encode` writes it, replacing `path` atomically."""
@@ -122,8 +124,12 @@ def jsonl_runs(path: str, schema: Schema | None = None, start: int = 0, end: int
     name order, and line None; any other line has its offset alone, columns None, and its
     bytes, "\n" kept."""
     pattern, convert = (schema._line, schema._convert) if schema else (_ANY_LINE, [])
+    width = pattern.groups + 1
     for offset, block in _blocks(path, start, end):
-        claimed, *fields, lines = zip(*pattern.findall(block))  # one column per group, one row per line
+        # re.split gives the (empty) text before each line's match, then the match's groups, as
+        # one flat list of strings: a column per group is a slice, and no tuple is made per line.
+        parts = pattern.split(block)
+        claimed, *fields, lines = (parts[group::width] for group in range(1, width))
         offsets = list(itertools.accumulate(map((1).__add__, map(len, block.split("\n"))), initial=offset))
         first = 0
         for stop in [*itertools.compress(itertools.count(), map(operator.not_, claimed)), len(lines)]:

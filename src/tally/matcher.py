@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -259,6 +258,8 @@ def scan_shards(
     if threads == 1 or len(shards) == 1:
         results = [run(s) for s in shards]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, shards))
     hits = [h for shard_hits, _, _ in results for h in shard_hits]

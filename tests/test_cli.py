@@ -853,6 +853,15 @@ def _hits_case(records):
 _HIT = {"caption_id": 0, "concept_id": 0, "synonym": "tiger", "offset": 0}
 
 
+def _hits_line_case(line: bytes):
+    def build(world, tmp_path):
+        path = tmp_path / "hits_bad.jsonl"
+        path.write_bytes(line)
+        return ["freq", "--hits", str(path), "--concepts", world["concepts"], "--out", art(world, "f.csv")], path
+
+    return build
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -886,6 +895,10 @@ _HIT = {"caption_id": 0, "concept_id": 0, "synonym": "tiger", "offset": 0}
         pytest.param(
             _hits_case([_HIT, {**_HIT, "concept_id": 1, "synonym": "cat", "offset": 242}]),
             id="hits-caption-at-two-offsets",
+        ),
+        pytest.param(
+            _hits_line_case(b'{"caption_id": 0, "concept_id": 0, "offset": 1' + b"0" * 5000 + b', "synonym": "tiger"}\n'),
+            id="hits-int-beyond-int-limit",
         ),
     ],
 )
