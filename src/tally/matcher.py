@@ -41,7 +41,7 @@ from .io import Schema, json_field, read_jsonl
 from .lexicon import SynonymSet
 
 MODES = ("whole_word", "partial")
-_BATCH = 1024  # records normalized together by a scan
+_BATCH = 256  # records normalized together by a scan; more keep more records alive for the collector
 
 
 class MatchHit(NamedTuple):
