@@ -9,10 +9,10 @@ its norm_text is read, so a pass that keeps few records pays for few;
 JSONL is read with the block codec of `tally.io`: memory holds one block of
 about 64 KiB, and a line that is byte-exactly `{"id": <up to 18 digits>, "text":
 "<printable ASCII without '"' or '\\'>"}` (what SORTED_JSON writes) is decoded
-by one regex over the block, its records made a run at a time. Every other
-line (escapes, non-ASCII text, a negative id, other spacing or keys, "\r\n",
-blank or malformed) is decoded on its own exactly as before, with the same
-skip reasons and byte offsets. TSV is read line by line.
+by one regex over the block. Every other line (escapes, non-ASCII text, a
+negative id, other spacing or keys, "\r\n", blank or malformed) is decoded on
+its own exactly as before, with the same skip reasons and byte offsets. TSV is
+read line by line.
 Malformed lines are counted and skipped, never fatal, so a single bad row
 in a web-scale dump cannot kill a multi-hour scan; a repeated id is an
 InputError, since its hits could not say which text they came from.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EmptyCorpusError, InputError
-from .io import Schema, jsonl_runs, loads_line
+from .io import Schema, jsonl_lines, loads_line
 
 FORMATS = ("jsonl", "tsv")
 
@@ -202,57 +202,23 @@ class CorpusReader:
     def __iter__(self):
         parse = _PARSERS[self.format]
         seen: set[int] = set()
-        for offsets, columns, raw in self._runs():
-            if columns is None:  # a line the block codec did not claim, or a TSV line
+        schema = _RECORD if self.format == "jsonl" else None
+        for offset, parsed, raw in jsonl_lines(self.path, schema, self.start_byte, self.end_byte):
+            if parsed is None:  # a line the block codec did not claim, or a TSV line
                 parsed = _parse_raw_line(raw, parse)
                 if parsed is None:
                     continue
                 if isinstance(parsed, str):
-                    self._skip(offsets[0], parsed)
+                    self._skip(offset, parsed)
                     continue
-                columns = [[parsed[0]], [parsed[1]]]
-            ids, texts = columns
-            fresh = len(ids)
-            if not seen.isdisjoint(ids) or len(set(ids)) < fresh:
-                fresh = _fresh_prefix(ids, seen)
-                ids = ids[:fresh]
-            seen.update(ids)
-            self.record_count += fresh
-            yield from map(_new_record, zip(ids, texts, offsets))
-            if fresh < len(offsets):
-                raise InputError(
-                    f"{self.path}: duplicate caption id {columns[0][fresh]} at byte {offsets[fresh]}"
-                )
+            rec_id, text = parsed
+            if rec_id in seen:
+                raise InputError(f"{self.path}: duplicate caption id {rec_id} at byte {offset}")
+            seen.add(rec_id)
+            self.record_count += 1
+            yield _new_record((rec_id, text, offset))
         if self.record_count == 0 and not self.allow_empty:
             raise EmptyCorpusError(f"no parsable records in {self.path}")
-
-    def _runs(self):
-        """(offsets, [ids, texts] or None, line bytes), as io.jsonl_runs gives them."""
-        if self.format == "jsonl":
-            return jsonl_runs(self.path, _RECORD, self.start_byte, self.end_byte)
-        return _file_lines(self.path, self.start_byte, self.end_byte)
-
-
-def _fresh_prefix(ids: list[int], seen: set[int]) -> int:
-    """How many of `ids` come before the first one in `seen` or earlier in `ids`."""
-    earlier = set()
-    for i, rec_id in enumerate(ids):
-        if rec_id in seen or rec_id in earlier:
-            return i
-        earlier.add(rec_id)
-    return len(ids)
-
-
-def _file_lines(path: str, start: int, end: int | None):
-    """([offset], None, line bytes) for each line that starts in [start, end)."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        offset = start
-        for raw in f:
-            if end is not None and offset >= end:
-                return
-            yield [offset], None, raw
-            offset += len(raw)
 
 
 def open_corpus(path: str, format: str = "jsonl") -> CorpusReader:

@@ -78,7 +78,6 @@ _KINDS = {
     bool: (r"(true|false)", _LITERAL.__getitem__, _JSON_LITERAL.__getitem__, (bool,)),
     bool | None: (r"(true|false|null)", _LITERAL.__getitem__, _JSON_LITERAL.__getitem__, (bool, type(None))),
 }
-_ANY_LINE = re.compile(r"()(.*\n|.+)")  # a Schema's line pattern, for no schema: it claims no line
 
 
 class Schema:
@@ -120,38 +119,44 @@ class Schema:
             f.writelines(map(self.encode, rows))
 
 
-def jsonl_runs(path: str, schema: Schema | None = None, start: int = 0, end: int | None = None):
-    """(offsets, columns, line) for each run of claimed lines of `path` and each other line, of
-    the lines that start in [start, end), in file order, read a block at a time. A run of lines
-    in the schema's SORTED_JSON form has their offsets, their values as one column per name in
-    name order, and line None; any other line has its offset alone, columns None, and its
-    bytes, "\n" kept."""
-    pattern, convert = (schema._line, schema._convert) if schema else (_ANY_LINE, [])
+def jsonl_lines(path: str, schema: Schema | None = None, start: int = 0, end: int | None = None):
+    """(offset, values, line) for each line of `path` that starts in [start, end), in file order,
+    read a block at a time. A line in the schema's SORTED_JSON form has its values, a tuple in
+    name order, and line None; any other line has values None and its bytes, "\n" kept. With
+    no schema, every line is an other line, read as the file iterates."""
+    if schema is None:
+        yield from _file_lines(path, start, end)
+        return
+    pattern, convert = schema._line, schema._convert
     width = pattern.groups + 1
     for offset, block in _blocks(path, start, end):
         # re.split gives the (empty) text before each line's match, then the match's groups, as
-        # one flat list of strings: a column per group is a slice, and no tuple is made per line.
+        # one flat list of strings: a column per group is a slice, and no tuple is made per line
+        # until a run of claimed lines, its values converted a column at a time, is zipped.
         parts = pattern.split(block)
         claimed, *fields, lines = (parts[group::width] for group in range(1, width))
         offsets = list(itertools.accumulate(map((1).__add__, map(len, block.split("\n"))), initial=offset))
         first = 0
         for stop in [*itertools.compress(itertools.count(), map(operator.not_, claimed)), len(lines)]:
             if first < stop:
-                yield offsets[first:stop], [col[first:stop] if conv is None else list(map(conv, col[first:stop]))
-                                            for conv, col in zip(convert, fields)], None
+                columns = [col[first:stop] if conv is None else map(conv, col[first:stop])
+                           for conv, col in zip(convert, fields)]
+                yield from zip(offsets[first:stop], zip(*columns), itertools.repeat(None))
             if stop < len(lines):
-                yield offsets[stop:stop + 1], None, lines[stop].encode("latin-1")
+                yield offsets[stop], None, lines[stop].encode("latin-1")
             first = stop + 1
 
 
-def jsonl_lines(path: str, schema: Schema | None = None, start: int = 0, end: int | None = None):
-    """(offset, values, line) for each line, as jsonl_runs reads them: a claimed line has its
-    values, a tuple in name order, and line None; any other line has values None and its bytes."""
-    for offsets, columns, line in jsonl_runs(path, schema, start, end):
-        if line is None:
-            yield from zip(offsets, zip(*columns), itertools.repeat(None))
-        else:
-            yield offsets[0], None, line
+def _file_lines(path: str, start: int, end: int | None):
+    """(offset, None, line bytes) for each line that starts in [start, end)."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        offset = start
+        for line in f:
+            if end is not None and offset >= end:
+                return
+            yield offset, None, line
+            offset += len(line)
 
 
 def _blocks(path: str, start: int, end: int | None):
