@@ -101,7 +101,7 @@ def main() -> None:
         for caption_id, _score in rows:
             image_keys.append(str(caption_id))
             image_y.append(cid)
-    image_x = captions.rows(image_keys).astype(np.float64)
+    image_x = captions.rows(image_keys)
     image_y = np.asarray(image_y, dtype=np.int64)
     text_x, text_y = build_text_examples(sets, synonyms, zeroshot)
 

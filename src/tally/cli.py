@@ -445,7 +445,8 @@ def cmd_train(args) -> dict:
         synonym_embs = _require_embedding(embs, "synonyms")
         text_features, text_labels = reallinear.build_text_examples(sets, synonym_embs, init)
 
-    # No local holds the image matrix or its gathered rows: train_crossmodal frees them once widened.
+    # No local holds the image matrix or its gathered float32 rows: train_crossmodal pools them
+    # without widening and drops its reference once pooled.
     trained = reallinear.train_crossmodal(
         _require_embedding(embs, "images").rows(keys), labels, text_features, text_labels, config, init
     )

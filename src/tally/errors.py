@@ -58,9 +58,9 @@ class ProviderError(TallyError):
 
 
 class DivergenceError(TallyError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or an update made the weights non-finite."""
 
-    def __init__(self, step: int, epoch: int):
-        super().__init__(f"non-finite loss at step {step} (epoch {epoch})")
+    def __init__(self, step: int, epoch: int, what: str = "loss"):
+        super().__init__(f"non-finite {what} at step {step} (epoch {epoch})")
         self.step = step
         self.epoch = epoch

@@ -185,23 +185,31 @@ def softmax_xent_loss_and_grad(
 
     weights: (C × d); x: (n × d); y: (n,) int class indices in [0, C).
     The L2 penalty is 0.5 * weight_decay * ||W||², so its gradient is the
-    conventional additive weight_decay * W term.
+    conventional additive weight_decay * W term. Computes in the precision
+    of `weights`, at least float32, with every scalar cast to it. The loss
+    is a log-softmax, log(row sum) minus the picked shifted logit, so a
+    picked probability that underflows is no infinite loss.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    weights = np.asarray(weights)
+    dtype = np.result_type(weights.dtype, np.float32)
+    weights = weights.astype(dtype, copy=False)
+    x = np.asarray(x, dtype=dtype)
     y = np.asarray(y)
     picked = (np.arange(x.shape[0]), y)
     probs = x @ weights.T  # (n × C) logits, turned into probabilities in place
     probs -= probs.max(axis=1, keepdims=True)
+    loss_terms = -probs[picked]
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(probs[picked])))
+    sums = probs.sum(axis=1, keepdims=True)
+    loss_terms += np.log(sums[:, 0])
+    loss = float(np.mean(loss_terms))
+    probs /= sums
     probs[picked] -= 1.0
+    probs *= dtype.type(1.0 / x.shape[0])  # the mean, taken on the (n × C) side, not on W's
     grad = probs.T @ x
-    grad /= x.shape[0]
     if weight_decay:
         loss += 0.5 * weight_decay * float(np.vdot(weights, weights))
-        grad += weight_decay * weights
+        grad += dtype.type(weight_decay) * weights
     return loss, grad
 
 
@@ -252,9 +260,12 @@ def train_crossmodal(
     and text examples; image_only drops the text side and requires every
     class to keep at least one image example (a classifier row with no
     gradient signal would silently stay at init). epochs=0 returns the
-    initialization bit-exactly. Internally float64; the returned matrix is
-    float32 like every ClassifierWeights. Float32 features are widened
-    once, by the copy that pools them.
+    initialization bit-exactly. Trains in float32, the precision of the
+    features and of every ClassifierWeights: the pooled copy rounds
+    float64 rows (the normalized text examples) once, and float32 image
+    rows pass through unwidened. A non-finite loss, or weights that an
+    update takes out of float32's range, raise DivergenceError naming that
+    step.
     """
     image_features = np.asarray(image_features)
     image_labels = np.asarray(image_labels, dtype=np.int64)
@@ -269,46 +280,52 @@ def train_crossmodal(
     if config.mode == "cross_modal":
         if text_features is None or text_labels is None:
             raise InputError("cross_modal mode requires text examples")
-        x = np.concatenate([image_features, text_features], dtype=np.float64)
+        x = np.concatenate([image_features, text_features], dtype=np.float32)
         y = np.concatenate([image_labels, text_labels], dtype=np.int64)
     else:
-        x, y = np.asarray(image_features, dtype=np.float64), image_labels
+        x, y = np.asarray(image_features, dtype=np.float32), image_labels
         present = set(int(c) for c in np.unique(y))
         missing = [init.concept_ids[i] for i in range(n_classes) if i not in present]
         if missing:
             raise InputError(
                 f"image_only training with no examples for concepts {missing[:5]}"
             )
-    del image_features  # x holds the float64 copy; the caller may hold no other reference
+    del image_features  # x holds the pooled rows; the caller may hold no other reference
     if x.shape[0] == 0:
         raise InputError("no training examples")
     if y.min() < 0 or y.max() >= n_classes:
         raise InputError("a training label is outside the class range")
 
-    w = init.matrix.astype(np.float64)
+    w = init.matrix.copy()
     n = x.shape[0]
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     rng = np.random.Generator(np.random.Philox(config.seed))
     step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for b in range(steps_per_epoch):
-            batch = order[b * config.batch_size : (b + 1) * config.batch_size]
-            loss, grad = softmax_xent_loss_and_grad(
-                w, x[batch], y[batch], weight_decay=config.weight_decay
-            )
-            if not np.isfinite(loss):
-                raise DivergenceError(step=step, epoch=epoch)
-            # Cosine annealing from learning_rate to 0 across total_steps.
-            lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
-            grad *= lr
-            w -= grad
-            step += 1
+    # Non-finite values are reported as DivergenceError, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            for b in range(steps_per_epoch):
+                batch = order[b * config.batch_size : (b + 1) * config.batch_size]
+                loss, grad = softmax_xent_loss_and_grad(
+                    w, x[batch], y[batch], weight_decay=config.weight_decay
+                )
+                if not np.isfinite(loss):
+                    raise DivergenceError(step=step, epoch=epoch)
+                # Cosine annealing from learning_rate to 0 across total_steps,
+                # cast so the update stays in float32.
+                grad *= np.float32(
+                    config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+                )
+                w -= grad
+                if not np.isfinite(w).all():
+                    raise DivergenceError(step=step, epoch=epoch, what="weights")
+                step += 1
     return ClassifierWeights(
         role="W",
         concept_ids=list(init.concept_ids),
-        matrix=w.astype(np.float32),
+        matrix=w,
         provenance={"init": init.role, "config": vars(config).copy(), "steps": step},
     )
 

@@ -731,6 +731,76 @@ def test_divergence_exits_4(capsys, world, monkeypatch, tmp_path):
     assert err["error"] == "DivergenceError"
 
 
+def test_weights_leaving_float32_range_exit_4_as_divergence(capsys, tmp_path):
+    """Finite features whose one update overflows float32 are a divergence
+    of the run, not a bad weights file. Both rows score 0 against both
+    classes, so the loss is log 2 and the one update is 2.5e39."""
+    init = np.zeros((2, 8), dtype=np.float32)
+    init[:, 0] = 1.0
+    ClassifierWeights("W_zs", [0, 1], init).save(str(tmp_path / "init.bin"))
+    RetrievalSet({0: [(0, 0.9)], 1: [(1, 0.8)]}).to_jsonl(str(tmp_path / "retrieval.jsonl"))
+    huge = np.zeros((2, 8), dtype=np.float32)
+    huge[0, 1] = huge[1, 2] = 1e30
+    save_embeddings(EmbeddingMatrix(["0", "1"], huge), str(tmp_path / "images.bin"))
+    err = run_fail(capsys, [
+        "train", "--retrieval", str(tmp_path / "retrieval.jsonl"),
+        "--init", str(tmp_path / "init.bin"), "--mode", "image_only",
+        "--embeddings", f"images={tmp_path / 'images.bin'}",
+        "--lr", "1e10", "--weight-decay", "0", "--batch-size", "2", "--epochs", "1",
+        "--out", str(tmp_path / "w.bin"),
+    ], 4)
+    assert err["error"] == "DivergenceError"
+    assert "at step 0 (epoch 0)" in err["message"]
+    assert not (tmp_path / "w.bin").exists()
+
+
+def test_train_weights_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """The README's "any thread count" for training: the batch GEMMs here
+    (32 x 128 x 96) are above the size at which OpenBLAS splits work
+    across threads."""
+    rng = np.random.default_rng(11)
+    n_classes, dim, per_class = 96, 128, 4
+    protos = rng.standard_normal((n_classes, dim))
+    protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+    ClassifierWeights("W_zs", list(range(n_classes)), protos.astype(np.float32)).save(
+        str(tmp_path / "init.bin")
+    )
+    labels = np.repeat(np.arange(n_classes), per_class)
+    images = protos[labels] + 0.3 * rng.standard_normal((labels.size, dim))
+    save_embeddings(
+        EmbeddingMatrix([str(i) for i in range(labels.size)], images.astype(np.float32)),
+        str(tmp_path / "images.bin"),
+    )
+    RetrievalSet(
+        {c: [(int(i), 1.0) for i in np.flatnonzero(labels == c)] for c in range(n_classes)}
+    ).to_jsonl(str(tmp_path / "retrieval.jsonl"))
+
+    def train(threads: str) -> tuple[bytes, bytes]:
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "tally.cli", "train",
+             "--retrieval", str(tmp_path / "retrieval.jsonl"), "--init", str(tmp_path / "init.bin"),
+             "--mode", "image_only", "--embeddings", f"images={tmp_path / 'images.bin'}",
+             "--lr", "0.5", "--epochs", "2",
+             "--out", str(out / "w.bin"), "--ensemble-out", str(out / "wbar.bin")],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return (out / "w.bin").read_bytes(), (out / "wbar.bin").read_bytes()
+
+    one, two = train("1"), train("2")
+    assert one == two
+    init = ClassifierWeights.load(str(tmp_path / "init.bin"))
+    assert ClassifierWeights.load(str(tmp_path / "threads1" / "w.bin")).matrix.tobytes() != (
+        init.matrix.tobytes()
+    )
+
+
 def test_an_unexpected_exception_exits_4_not_2(capsys, world, monkeypatch):
     """Only a TallyError or an OSError is bad input; any other exception is a fault of the program."""
 

@@ -371,28 +371,34 @@ def test_identical_seed_identical_weights():
 
 
 def reference_grad(w, xb, yb, weight_decay):
-    """The softmax cross-entropy gradient with out-of-place arithmetic: a new
-    array for the logits' softmax, the mean and the weight decay term."""
+    """The softmax cross-entropy gradient with out-of-place arithmetic, in
+    w's dtype: a new array for the logits' softmax, the mean and the weight
+    decay term, and every scalar cast to that dtype."""
+    dtype = w.dtype.type
+    xb = np.asarray(xb, dtype=w.dtype)
     logits = xb @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
+    logits = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
     delta = probs
     delta[np.arange(xb.shape[0]), yb] -= 1.0
-    grad = (delta.T @ xb) / xb.shape[0]
+    grad = (delta * dtype(1.0 / xb.shape[0])).T @ xb
     if weight_decay:
-        grad = grad + weight_decay * w
+        grad = grad + dtype(weight_decay) * w
     return grad
 
 
-def reference_sgd(image_features, image_labels, text_features, text_labels, config, init):
-    """The SGD loop with out-of-place arithmetic throughout."""
+def reference_sgd(image_features, image_labels, text_features, text_labels, config, init,
+                  dtype=np.float32):
+    """The SGD loop with out-of-place arithmetic throughout, in `dtype`.
+    float64 is the oracle the float32 trainer is held to."""
     x = np.asarray(image_features, dtype=np.float64)
     y = np.asarray(image_labels, dtype=np.int64)
     if config.mode == "cross_modal":
         x = np.concatenate([x, np.asarray(text_features, dtype=np.float64)], axis=0)
         y = np.concatenate([y, np.asarray(text_labels, dtype=np.int64)], axis=0)
-    w = init.matrix.astype(np.float64)
+    x = x.astype(dtype)
+    w = init.matrix.astype(dtype)
     n = x.shape[0]
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
@@ -404,9 +410,9 @@ def reference_sgd(image_features, image_labels, text_features, text_labels, conf
             batch = order[b * config.batch_size : (b + 1) * config.batch_size]
             grad = reference_grad(w, x[batch], y[batch], config.weight_decay)
             lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
-            w -= lr * grad
+            w = w - dtype(lr) * grad
             step += 1
-    return w.astype(np.float32)
+    return w
 
 
 @pytest.mark.parametrize("mode", ["cross_modal", "image_only"])
@@ -419,20 +425,63 @@ def test_training_matches_out_of_place_reference_bit_for_bit(mode, wd):
     image_labels = np.arange(n_image) % c
     text_feats = rng.standard_normal((2 * c, d))
     text_labels = np.arange(2 * c) % c
-    # The float32 result hides last-bit float64 differences, so the step's
-    # gradient is compared in float64 too, for a full batch of 7 and the
+    # The step's gradient is compared on its own too, in float32 as trained
+    # and in float64 as a caller may pass it, for a full batch of 7 and the
     # ragged last batch of 43 % 7 = 1 or 53 % 7 = 4 examples.
-    w = init.matrix.astype(np.float64)
-    for n in (7, 1, 4):
-        xb, yb = rng.standard_normal((n, d)), rng.integers(0, c, size=n)
-        _, grad = softmax_xent_loss_and_grad(w, xb, yb, weight_decay=wd)
-        assert grad.tobytes() == reference_grad(w, xb, yb, wd).tobytes()
+    for dtype in (np.float32, np.float64):
+        w = init.matrix.astype(dtype)
+        for n in (7, 1, 4):
+            xb, yb = rng.standard_normal((n, d)).astype(dtype), rng.integers(0, c, size=n)
+            _, grad = softmax_xent_loss_and_grad(w, xb, yb, weight_decay=wd)
+            assert grad.dtype == dtype
+            assert grad.tobytes() == reference_grad(w, xb, yb, wd).tobytes()
     config = TrainConfig(learning_rate=0.5, weight_decay=wd, batch_size=7, epochs=10,
                          seed=9, mode=mode)
     got = train_crossmodal(image_feats, image_labels, text_feats, text_labels, config, init)
     want = reference_sgd(image_feats, image_labels, text_feats, text_labels, config, init)
     assert got.matrix.tobytes() == want.tobytes()
     assert got.matrix.tobytes() != init.matrix.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["cross_modal", "image_only"])
+def test_float32_training_stays_close_to_the_float64_oracle(mode):
+    """Training in float32 moves each weight by float32 rounding, not by a
+    decision: the weights stay within a small bound of the float64 loop's and
+    classify every training example the same way."""
+    rng = np.random.default_rng(23)
+    c, d, n_image = 12, 64, 600
+    protos = rng.standard_normal((c, d))
+    init = ClassifierWeights("W_zs", list(range(c)), unit(protos))
+    image_labels = np.arange(n_image) % c
+    image_feats = unit(protos[image_labels] + 0.8 * rng.standard_normal((n_image, d)))
+    text_feats = unit(protos + 0.2 * rng.standard_normal((c, d))).astype(np.float64)
+    text_labels = np.arange(c)
+    config = TrainConfig(learning_rate=0.3, weight_decay=1e-2, batch_size=32, epochs=8,
+                         seed=5, mode=mode)
+    got = train_crossmodal(image_feats, image_labels, text_feats, text_labels, config, init)
+    oracle = reference_sgd(image_feats, image_labels, text_feats, text_labels, config, init,
+                           dtype=np.float64)
+    assert np.max(np.abs(got.matrix - oracle)) <= 1e-5
+    assert np.max(np.abs(got.matrix - init.matrix)) >= 1e-2  # the run moved the weights
+    oracle_preds = np.argmax(image_feats.astype(np.float64) @ oracle.T, axis=1)
+    assert np.array_equal(classify_batch(got, image_feats), oracle_preds)
+
+
+def test_a_picked_probability_underflowing_float32_is_not_divergence():
+    """exp(-150) is 0 in float32, so -log(p) of the picked class would be
+    inf; the loss is taken as a log-softmax and stays finite."""
+    w = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    x = np.array([[0.0, 150.0]], dtype=np.float32)
+    loss, grad = softmax_xent_loss_and_grad(w, x, np.array([0]))
+    assert loss == pytest.approx(150.0)
+    assert np.all(np.isfinite(grad))
+    init = ClassifierWeights("W", [0, 1], w)
+    feats = np.array([[0.0, 150.0], [150.0, 0.0]], dtype=np.float32)
+    config = TrainConfig(learning_rate=1e-3, weight_decay=0.0, batch_size=2, epochs=2,
+                         mode="image_only")
+    trained = train_crossmodal(feats, np.array([0, 1]), None, None, config, init)
+    assert np.all(np.isfinite(trained.matrix))
+    assert trained.provenance["steps"] == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -444,6 +493,34 @@ def test_divergence_raises_with_location():
         train_crossmodal(feats, labels, None, None, TrainConfig(mode="image_only"), init)
     assert err.value.step == 0
     assert err.value.epoch == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_weights_leaving_float32_range_raise_divergence_at_the_last_update():
+    """Finite features, one update: the weights overflow float32 at step 0,
+    which no later loss check sees."""
+    feats = np.array([[1e30, 0.0], [0.0, 1e30]])
+    labels = np.array([0, 1])
+    init = ClassifierWeights("W", [0, 1], np.ones((2, 2), dtype=np.float32))
+    config = TrainConfig(learning_rate=1e10, weight_decay=0.0, batch_size=2, epochs=1,
+                         mode="image_only")
+    with pytest.raises(DivergenceError, match="non-finite weights at step 0") as err:
+        train_crossmodal(feats, labels, None, None, config, init)
+    assert (err.value.step, err.value.epoch) == (0, 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_weights_overflow_is_named_at_its_update_not_at_the_next_loss():
+    """Four steps of one example each: step 0's update overflows, and step
+    1's loss, computed from infinite weights, would be the first NaN."""
+    feats = np.array([[1e30, 0.0], [0.0, 1e30]])
+    labels = np.array([0, 1])
+    init = ClassifierWeights("W", [0, 1], np.ones((2, 2), dtype=np.float32))
+    config = TrainConfig(learning_rate=1e10, weight_decay=0.0, batch_size=1, epochs=2,
+                         mode="image_only")
+    with pytest.raises(DivergenceError, match="non-finite weights") as err:
+        train_crossmodal(feats, labels, None, None, config, init)
+    assert (err.value.step, err.value.epoch) == (0, 0)
 
 
 def test_train_input_errors():
